@@ -1,9 +1,13 @@
 package efsm
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
-	"sort"
+	"math/bits"
+	"slices"
 	"strings"
+	"sync"
 
 	"transit/internal/expr"
 )
@@ -46,14 +50,73 @@ type State struct {
 }
 
 // Runtime instantiates a System and implements its execution semantics.
+// A Runtime is safe for concurrent use: its tables are built once by
+// NewRuntime and only read afterwards, and each call takes its evaluation
+// scratch from a pool.
 type Runtime struct {
 	Sys    *System
 	Insts  []*Instance
 	byDef  map[*ProcDef][]int
 	netIdx map[*Network]int
-	// transIdx groups each definition's transitions by (state ordinal,
-	// event key).
-	transIdx map[*ProcDef]map[string][]*Transition
+	// procs holds each instance's definition tables (shared by the
+	// instances of one definition); nets each network's.
+	procs []*procTable
+	nets  []netTable
+	// info holds the precomputed indices of every indexed transition.
+	info    map[*Transition]*transInfo
+	scratch sync.Pool
+}
+
+// procTable is a definition's transition index and key layout.
+type procTable struct {
+	// trans groups the transitions by (control ordinal, event ordinal) at
+	// trans[ctl*numEv+ev]. Event ordinals number the definition's
+	// triggers first (a repeated trigger name shares its first ordinal),
+	// then the system's networks.
+	trans  [][]*transInfo
+	numEv  int
+	trigEv []int // event ordinal of each entry of Def.Triggers
+	// ctlW and varW are the key widths in bytes of the control ordinal
+	// and of each process variable.
+	ctlW int
+	varW []int
+	// peers lists the definition's instances; Permute and the
+	// canonicalizer relocate replicated local states through it.
+	peers []int
+}
+
+// netTable is a network's message layout.
+type netTable struct {
+	// fieldW is the key width of each field; recW their sum.
+	fieldW []int
+	recW   int
+}
+
+// transInfo is a transition with its names resolved to indices.
+type transInfo struct {
+	t      *Transition
+	to     int   // ordinal of t.To
+	upd    []int // variable index of each update
+	fields []string
+	sends  []sendInfo
+}
+
+type sendInfo struct {
+	net    int
+	dest   int   // index of the routing field, -1 for static routes
+	fields []int // message field index of each SendField
+}
+
+// scratch is one goroutine's reusable evaluation state.
+type scratch struct {
+	env expr.Env
+	// envInst is the instance whose variables env holds (-1: none),
+	// envDef the definition whose variable names it holds.
+	envInst int
+	envDef  *ProcDef
+	vals    []expr.Value
+	owned   []bool
+	sort    msgSorter
 }
 
 // NewRuntime validates the system and builds its instances: one per PID
@@ -63,10 +126,29 @@ func NewRuntime(sys *System) (*Runtime, error) {
 		return nil, err
 	}
 	r := &Runtime{
-		Sys:      sys,
-		byDef:    make(map[*ProcDef][]int),
-		netIdx:   make(map[*Network]int),
-		transIdx: make(map[*ProcDef]map[string][]*Transition),
+		Sys:    sys,
+		byDef:  make(map[*ProcDef][]int),
+		netIdx: make(map[*Network]int),
+		nets:   make([]netTable, len(sys.Networks)),
+		info:   make(map[*Transition]*transInfo),
+	}
+	netByName := make(map[string]int, len(sys.Networks))
+	// fields shares the scope names of a network's fields among the
+	// transitions binding the same message variable.
+	type netVar struct {
+		net    int
+		msgVar string
+	}
+	fields := map[netVar][]string{}
+	for i, n := range sys.Networks {
+		r.netIdx[n] = i
+		netByName[n.Name] = i
+		nt := &r.nets[i]
+		for _, f := range n.Msg.Fields {
+			w := keyWidth(sys.U, f.T)
+			nt.fieldW = append(nt.fieldW, w)
+			nt.recW += w
+		}
 	}
 	for _, d := range sys.Defs {
 		n := 1
@@ -78,15 +160,47 @@ func NewRuntime(sys *System) (*Runtime, error) {
 			r.Insts = append(r.Insts, inst)
 			r.byDef[d] = append(r.byDef[d], inst.Idx)
 		}
-		idx := make(map[string][]*Transition)
-		for _, t := range d.Transitions {
-			key := transKey(d.States.Ord(t.From), t.Event)
-			idx[key] = append(idx[key], t)
+		pt := &procTable{numEv: len(d.Triggers) + len(sys.Networks), peers: r.byDef[d]}
+		first := map[string]int{}
+		for i, trig := range d.Triggers {
+			if _, ok := first[trig]; !ok {
+				first[trig] = i
+			}
+			pt.trigEv = append(pt.trigEv, first[trig])
 		}
-		r.transIdx[d] = idx
+		pt.ctlW = keyWidth(sys.U, expr.EnumOf(d.States))
+		for _, v := range d.Vars {
+			pt.varW = append(pt.varW, keyWidth(sys.U, v.VT))
+		}
+		pt.trans = make([][]*transInfo, len(d.States.Values)*pt.numEv)
+		for _, t := range d.Transitions {
+			ev, ok := -1, false
+			if t.Event.IsTrigger() {
+				ev, ok = first[t.Event.Trigger]
+			} else if ev, ok = netByName[t.Event.Net.Name]; ok {
+				ev += len(d.Triggers)
+			}
+			if !ok {
+				continue // an event this definition never receives
+			}
+			var names []string
+			if !t.Event.IsTrigger() {
+				nv := netVar{ev - len(d.Triggers), t.Event.MsgVar}
+				if names = fields[nv]; names == nil {
+					names = fieldNames(sys.Networks[nv.net], nv.msgVar)
+					fields[nv] = names
+				}
+			}
+			ti := r.newTransInfo(d, t, names)
+			r.info[t] = ti
+			at := d.States.Ord(t.From)*pt.numEv + ev
+			pt.trans[at] = append(pt.trans[at], ti)
+		}
+		for range r.byDef[d] {
+			r.procs = append(r.procs, pt)
+		}
 	}
-	for i, n := range sys.Networks {
-		r.netIdx[n] = i
+	for _, n := range sys.Networks {
 		if len(r.byDef[n.Receiver]) == 0 {
 			return nil, fmt.Errorf("efsm: network %s receiver %s has no instances", n.Name, n.Receiver.Name)
 		}
@@ -94,8 +208,87 @@ func NewRuntime(sys *System) (*Runtime, error) {
 	return r, nil
 }
 
-func transKey(stateOrd int, ev Event) string {
-	return fmt.Sprintf("%d|%s", stateOrd, ev.Key())
+// keyWidth is the number of low payload bytes that distinguish the values
+// of a type in a state key: 1 for Bool and PID, enough for the largest
+// ordinal of an Enum, ⌈n/8⌉ for a Set over n PIDs, ⌈W/8⌉ for a W-bit Int
+// (its sign-extended high bytes follow from the low ones).
+func keyWidth(u *expr.Universe, t expr.Type) int {
+	bytesFor := func(bits int) int { return max(1, (bits+7)/8) }
+	switch t.Kind {
+	case expr.KindInt:
+		return bytesFor(int(u.IntWidth()))
+	case expr.KindSet:
+		return bytesFor(u.NumCaches())
+	case expr.KindEnum:
+		return bytesFor(bits.Len(uint(len(t.Enum.Values) - 1)))
+	}
+	return bytesFor(bits.Len(uint(u.NumCaches() - 1)))
+}
+
+// newTransInfo resolves a transition's names; fields are the scope names
+// of the received message's fields (nil for triggers).
+func (r *Runtime) newTransInfo(d *ProcDef, t *Transition, fields []string) *transInfo {
+	ti := &transInfo{t: t, to: d.States.Ord(t.To), fields: fields}
+	for _, u := range t.Updates {
+		ti.upd = append(ti.upd, d.VarIndex(u.Var))
+	}
+	for _, snd := range t.Sends {
+		si := sendInfo{net: r.netIdx[snd.Net], dest: -1}
+		if snd.Net.Route == RouteByField {
+			si.dest = snd.Net.Msg.FieldIndex(snd.Net.DestField)
+		}
+		for _, fa := range snd.Fields {
+			si.fields = append(si.fields, snd.Net.Msg.FieldIndex(fa.Field))
+		}
+		ti.sends = append(ti.sends, si)
+	}
+	return ti
+}
+
+// fieldNames returns the scope names of a network's fields under msgVar.
+func fieldNames(net *Network, msgVar string) []string {
+	fields := make([]string, len(net.Msg.Fields))
+	for i, f := range net.Msg.Fields {
+		fields[i] = msgVar + "." + f.Name
+	}
+	return fields
+}
+
+func (r *Runtime) getScratch() *scratch {
+	sc, _ := r.scratch.Get().(*scratch)
+	if sc == nil {
+		sc = &scratch{env: expr.Env{}, owned: make([]bool, len(r.Sys.Networks))}
+	}
+	sc.envInst = -1
+	clear(sc.owned)
+	return sc
+}
+
+func (r *Runtime) putScratch(sc *scratch) { r.scratch.Put(sc) }
+
+// procEnv binds sc.env to an instance's pre-state scope: its variables
+// and Self. Message fields are bound per candidate by bindMsg.
+func (r *Runtime) procEnv(sc *scratch, st *State, inst *Instance) expr.Env {
+	if sc.envInst == inst.Idx {
+		return sc.env
+	}
+	d := inst.Def
+	if sc.envDef != d {
+		clear(sc.env)
+		sc.envDef = d
+	}
+	for j, v := range d.Vars {
+		sc.env[v.Name] = st.Procs[inst.Idx].Vars[j]
+	}
+	sc.env[SelfVar] = expr.PIDVal(inst.PID)
+	sc.envInst = inst.Idx
+	return sc.env
+}
+
+func bindMsg(env expr.Env, fields []string, msg Msg) {
+	for j, name := range fields {
+		env[name] = msg[j]
+	}
 }
 
 // Initial builds the initial global state.
@@ -126,7 +319,9 @@ func (r *Runtime) Initial() *State {
 	return st
 }
 
-// Clone deep-copies a state.
+// Clone deep-copies a state. A State is immutable once built — Apply
+// shares the parts of its input it does not change with the successor —
+// so Clone is the way to get a state that may be modified.
 func (st *State) Clone() *State {
 	out := &State{
 		Procs: make([]ProcState, len(st.Procs)),
@@ -193,12 +388,14 @@ type Problem struct {
 func (r *Runtime) Actions(st *State) ([]Action, []Problem) {
 	var acts []Action
 	var probs []Problem
+	sc := r.getScratch()
+	defer r.putScratch(sc)
 
 	// External triggers.
 	for _, inst := range r.Insts {
-		for _, trig := range inst.Def.Triggers {
-			ev := Event{Trigger: trig}
-			t, prob := r.match(st, inst, ev, nil)
+		pt := r.procs[inst.Idx]
+		for ti, trig := range inst.Def.Triggers {
+			t, prob := r.match(sc, st, inst, pt.trigEv[ti], Event{Trigger: trig}, nil)
 			if prob != nil {
 				// Triggers with ambiguous guards are still an error;
 				// absent transitions are not (the environment simply
@@ -225,20 +422,18 @@ func (r *Runtime) Actions(st *State) ([]Action, []Problem) {
 			if net.Kind == Ordered {
 				limit = 1
 			}
-			seen := map[string]bool{}
+			inst := r.Insts[r.receiverOf(net, slot)]
+			ev := Event{Net: net, MsgVar: "Msg"}
+			evOrd := len(inst.Def.Triggers) + n
+		next:
 			for pos := 0; pos < limit; pos++ {
 				msg := msgs[pos]
-				if net.Kind == Unordered {
-					key := encodeMsg(msg)
-					if seen[key] {
-						continue // identical pending messages branch identically
+				for _, earlier := range msgs[:pos] {
+					if slices.Equal(earlier, msg) {
+						continue next // identical pending messages branch identically
 					}
-					seen[key] = true
 				}
-				instIdx := r.receiverOf(net, slot)
-				inst := r.Insts[instIdx]
-				ev := Event{Net: net, MsgVar: "Msg"}
-				t, prob := r.match(st, inst, ev, msg)
+				t, prob := r.match(sc, st, inst, evOrd, ev, msg)
 				if prob != nil {
 					probs = append(probs, *prob)
 					continue
@@ -246,7 +441,7 @@ func (r *Runtime) Actions(st *State) ([]Action, []Problem) {
 				if t == nil || t.Defer {
 					continue // stalled
 				}
-				acts = append(acts, Action{Inst: instIdx, Trans: t, Net: n, Slot: slot, Pos: pos, Msg: msg})
+				acts = append(acts, Action{Inst: inst.Idx, Trans: t, Net: n, Slot: slot, Pos: pos, Msg: msg})
 			}
 		}
 	}
@@ -263,12 +458,14 @@ func (r *Runtime) receiverOf(net *Network, slot int) int {
 }
 
 // match finds the unique enabled transition for (instance state, event),
-// or a stall, or a problem. For message events the candidate transitions'
-// own MsgVar binds the fields.
-func (r *Runtime) match(st *State, inst *Instance, ev Event, msg Msg) (*Transition, *Problem) {
+// or a stall, or a problem; evOrd is the event's ordinal in the
+// instance's transition table. For message events the candidate
+// transitions' own MsgVar binds the fields.
+func (r *Runtime) match(sc *scratch, st *State, inst *Instance, evOrd int, ev Event, msg Msg) (*Transition, *Problem) {
 	d := inst.Def
-	ps := st.Procs[inst.Idx]
-	cands := r.transIdx[d][transKey(ps.Ctl, ev)]
+	pt := r.procs[inst.Idx]
+	ctl := st.Procs[inst.Idx].Ctl
+	cands := pt.trans[ctl*pt.numEv+evOrd]
 	if len(cands) == 0 {
 		if ev.IsTrigger() {
 			return nil, nil
@@ -276,31 +473,31 @@ func (r *Runtime) match(st *State, inst *Instance, ev Event, msg Msg) (*Transiti
 		return nil, &Problem{
 			Kind: UnexpectedMessage, Inst: inst.Idx, Event: ev, Msg: msg,
 			Detail: fmt.Sprintf("%s in state %s cannot handle %s message %s",
-				inst.Name(), d.States.Values[ps.Ctl], ev.Net.Name, r.FormatMsg(ev.Net, msg)),
+				inst.Name(), d.States.Values[ctl], ev.Net.Name, r.FormatMsg(ev.Net, msg)),
 		}
 	}
-	base := r.baseEnv(st, inst)
 	var hit *Transition
 	var catchAllDefer *Transition
-	for _, t := range cands {
+	for _, c := range cands {
+		t := c.t
 		if t.Defer && t.Guard == nil {
 			// An unguarded stall rule is a lowest-priority catch-all:
 			// it applies only when no guarded transition matches.
 			catchAllDefer = t
 			continue
 		}
-		env := base
-		if !ev.IsTrigger() {
-			env = r.extendWithMsg(base, t.Event.MsgVar, ev.Net, msg)
-		}
-		if t.Guard != nil && !t.Guard.Eval(r.Sys.U, env).Bool() {
-			continue
+		if t.Guard != nil {
+			env := r.procEnv(sc, st, inst)
+			bindMsg(env, c.fields, msg)
+			if !t.Guard.Eval(r.Sys.U, env).Bool() {
+				continue
+			}
 		}
 		if hit != nil {
 			return nil, &Problem{
 				Kind: NonDeterministic, Inst: inst.Idx, Event: ev, Msg: msg,
 				Detail: fmt.Sprintf("%s in state %s: guards %s and %s both enabled",
-					inst.Name(), d.States.Values[ps.Ctl], hit.GuardString(), t.GuardString()),
+					inst.Name(), d.States.Values[ctl], hit.GuardString(), t.GuardString()),
 			}
 		}
 		hit = t
@@ -315,125 +512,239 @@ func (r *Runtime) match(st *State, inst *Instance, ev Event, msg Msg) (*Transiti
 		return nil, &Problem{
 			Kind: UnexpectedMessage, Inst: inst.Idx, Event: ev, Msg: msg,
 			Detail: fmt.Sprintf("%s in state %s: no guard accepts %s message %s",
-				inst.Name(), d.States.Values[ps.Ctl], ev.Net.Name, r.FormatMsg(ev.Net, msg)),
+				inst.Name(), d.States.Values[ctl], ev.Net.Name, r.FormatMsg(ev.Net, msg)),
 		}
 	}
 	return hit, nil
 }
 
-// baseEnv builds the instance's pre-state environment (vars + Self).
-func (r *Runtime) baseEnv(st *State, inst *Instance) expr.Env {
-	d := inst.Def
-	env := make(expr.Env, len(d.Vars)+6)
-	for j, v := range d.Vars {
-		env[v.Name] = st.Procs[inst.Idx].Vars[j]
-	}
-	env[SelfVar] = expr.PIDVal(inst.PID)
-	return env
-}
-
-func (r *Runtime) extendWithMsg(base expr.Env, msgVar string, net *Network, msg Msg) expr.Env {
-	env := base.Clone()
-	for j, f := range net.Msg.Fields {
-		env[msgVar+"."+f.Name] = msg[j]
-	}
-	return env
-}
-
-// Apply executes an action, returning the successor state.
+// Apply executes an action, returning the successor state. The successor
+// shares every part of st the action leaves unchanged: only the acting
+// instance's variables and the network slots it consumes from or sends
+// to are copied, so st and every other successor of st stay intact.
 func (r *Runtime) Apply(st *State, a Action) *State {
-	next := st.Clone()
+	sc := r.getScratch()
+	defer r.putScratch(sc)
 	inst := r.Insts[a.Inst]
-	d := inst.Def
-	env := r.baseEnv(st, inst)
+	ti := r.info[a.Trans]
+	if ti == nil {
+		// A transition NewRuntime did not index (not reachable through
+		// Actions): resolve its names now.
+		var fields []string
+		if a.Net >= 0 {
+			fields = fieldNames(r.Sys.Networks[a.Net], a.Trans.Event.MsgVar)
+		}
+		ti = r.newTransInfo(inst.Def, a.Trans, fields)
+	}
+	env := r.procEnv(sc, st, inst)
 	if a.Net >= 0 {
-		env = r.extendWithMsg(env, a.Trans.Event.MsgVar, r.Sys.Networks[a.Net], a.Msg)
-		// Consume the message.
-		slot := next.Nets[a.Net][a.Slot]
-		next.Nets[a.Net][a.Slot] = append(slot[:a.Pos:a.Pos], slot[a.Pos+1:]...)
+		bindMsg(env, ti.fields, a.Msg)
 	}
 	// Parallel assignment: evaluate all RHS in the pre-state.
-	newVals := make([]expr.Value, len(a.Trans.Updates))
-	for i, u := range a.Trans.Updates {
-		newVals[i] = u.Rhs.Eval(r.Sys.U, env)
+	vals := sc.vals[:0]
+	for _, u := range a.Trans.Updates {
+		vals = append(vals, u.Rhs.Eval(r.Sys.U, env))
 	}
-	for i, u := range a.Trans.Updates {
-		next.Procs[a.Inst].Vars[d.VarIndex(u.Var)] = newVals[i]
+	sc.vals = vals
+
+	next := &State{Procs: slices.Clone(st.Procs), Nets: st.Nets}
+	ps := &next.Procs[a.Inst]
+	if len(vals) > 0 {
+		ps.Vars = slices.Clone(ps.Vars)
+		for i, v := range vals {
+			ps.Vars[ti.upd[i]] = v
+		}
 	}
-	next.Procs[a.Inst].Ctl = d.States.Ord(a.Trans.To)
+	ps.Ctl = ti.to
+
+	// own gives net n a slot array of its own in next.
+	ownedAny := false
+	own := func(n int) [][]Msg {
+		if !ownedAny {
+			next.Nets = slices.Clone(st.Nets)
+			ownedAny = true
+		}
+		if !sc.owned[n] {
+			next.Nets[n] = slices.Clone(st.Nets[n])
+			sc.owned[n] = true
+		}
+		return next.Nets[n]
+	}
+	if a.Net >= 0 {
+		// Consume the message.
+		slots := own(a.Net)
+		old := slots[a.Slot]
+		rest := make([]Msg, 0, len(old)-1)
+		slots[a.Slot] = append(append(rest, old[:a.Pos]...), old[a.Pos+1:]...)
+	}
 	// Sends: field RHS evaluate in the pre-state scope as well.
-	for _, snd := range a.Trans.Sends {
+	for k, snd := range a.Trans.Sends {
+		si := ti.sends[k]
 		msg := make(Msg, len(snd.Net.Msg.Fields))
 		for j, f := range snd.Net.Msg.Fields {
 			msg[j] = expr.ZeroOf(f.T)
 		}
-		for _, fa := range snd.Fields {
-			msg[snd.Net.Msg.FieldIndex(fa.Field)] = fa.Rhs.Eval(r.Sys.U, env)
+		for j, fa := range snd.Fields {
+			msg[si.fields[j]] = fa.Rhs.Eval(r.Sys.U, env)
 		}
-		n := r.netIdx[snd.Net]
+		slots := own(si.net)
 		if snd.TargetSet != nil {
 			// Multicast: one copy per member, routed to that member.
-			destIdx := snd.Net.Msg.FieldIndex(snd.Net.DestField)
 			mask := snd.TargetSet.Eval(r.Sys.U, env).Set()
 			for pid := 0; pid < r.Sys.U.NumCaches(); pid++ {
 				if mask&(1<<uint(pid)) == 0 {
 					continue
 				}
-				copyMsg := append(Msg(nil), msg...)
-				copyMsg[destIdx] = expr.PIDVal(pid)
-				next.Nets[n][pid] = append(next.Nets[n][pid], copyMsg)
+				copyMsg := slices.Clone(msg)
+				copyMsg[si.dest] = expr.PIDVal(pid)
+				slots[pid] = appendExact(slots[pid], copyMsg)
 			}
 			continue
 		}
 		slot := 0
-		if snd.Net.Route == RouteByField {
-			slot = msg[snd.Net.Msg.FieldIndex(snd.Net.DestField)].PID()
+		if si.dest >= 0 {
+			slot = msg[si.dest].PID()
 		}
-		next.Nets[n][slot] = append(next.Nets[n][slot], msg)
+		slots[slot] = appendExact(slots[slot], msg)
 	}
 	return next
 }
 
-// Encode renders a state as a canonical string key: control states and
-// variable payloads per instance, then network contents with unordered
-// slots sorted into canonical order.
-func (r *Runtime) Encode(st *State) string {
-	var b []byte
-	for _, p := range st.Procs {
-		b = append(b, byte(p.Ctl))
-		for _, v := range p.Vars {
-			b = v.AppendEncoding(b)
-		}
-	}
-	for n, slots := range st.Nets {
-		ordered := r.Sys.Networks[n].Kind == Ordered
-		for _, msgs := range slots {
-			b = append(b, byte(len(msgs)), '|')
-			if ordered {
-				for _, m := range msgs {
-					b = append(b, encodeMsg(m)...)
-				}
-			} else {
-				keys := make([]string, len(msgs))
-				for i, m := range msgs {
-					keys[i] = encodeMsg(m)
-				}
-				sort.Strings(keys)
-				for _, k := range keys {
-					b = append(b, k...)
-				}
-			}
-		}
-	}
-	return string(b)
+// appendExact returns a new exact-capacity slice holding msgs and m, so
+// that successors appending to the same parent slot never share an array.
+func appendExact(msgs []Msg, m Msg) []Msg {
+	out := make([]Msg, len(msgs)+1)
+	copy(out, msgs)
+	out[len(msgs)] = m
+	return out
 }
 
-func encodeMsg(m Msg) string {
-	var b []byte
-	for _, v := range m {
-		b = v.AppendEncoding(b)
+// Encode renders a state as its key: per instance the control ordinal and
+// each variable's payload, each as its low keyWidth bytes, then per
+// network slot the message count as a uvarint, a '|' and the messages'
+// payload bytes, with unordered slots sorted into canonical order. Within
+// one runtime every field sits at a fixed width and the counts are
+// prefix-free, so the key is injective.
+func (r *Runtime) Encode(st *State) string {
+	return string(r.AppendEncode(nil, st))
+}
+
+// AppendEncode appends Encode(st) to dst.
+func (r *Runtime) AppendEncode(dst []byte, st *State) []byte {
+	sc := r.getScratch()
+	defer r.putScratch(sc)
+	return r.appendKey(dst, st, nil, nil, &sc.sort)
+}
+
+// appendKey appends the key of Permute(st, pi) without building the
+// permuted state (pi and its inverse inv both nil: the key of st).
+func (r *Runtime) appendKey(dst []byte, st *State, pi, inv Perm, ms *msgSorter) []byte {
+	for i := range r.Insts {
+		dst = r.appendProc(dst, st, i, pi, inv)
 	}
-	return string(b)
+	for n, slots := range st.Nets {
+		for q := range slots {
+			dst = r.appendSlot(dst, st, n, q, pi, inv, ms)
+		}
+	}
+	return dst
+}
+
+// appendProc appends instance i's part of the key of Permute(st, pi): a
+// replicated instance reads the local state of the instance with PID
+// inv[PID], values mapped through pi.
+func (r *Runtime) appendProc(dst []byte, st *State, i int, pi, inv Perm) []byte {
+	src := i
+	inst := r.Insts[i]
+	pt := r.procs[i]
+	if inv != nil && inst.Def.Replicated {
+		src = pt.peers[inv[inst.PID]]
+	}
+	p := st.Procs[src]
+	dst = appendLow(dst, uint64(p.Ctl), pt.ctlW)
+	for j, v := range p.Vars {
+		dst = appendValue(dst, v, pt.varW[j], pi)
+	}
+	return dst
+}
+
+// appendSlot appends receiver slot q of network n's part of the key of
+// Permute(st, pi): by-field slots relocate through inv.
+func (r *Runtime) appendSlot(dst []byte, st *State, n, q int, pi, inv Perm, ms *msgSorter) []byte {
+	net := r.Sys.Networks[n]
+	src := q
+	if inv != nil && net.Route == RouteByField {
+		src = inv[q]
+	}
+	msgs := st.Nets[n][src]
+	dst = binary.AppendUvarint(dst, uint64(len(msgs)))
+	dst = append(dst, '|')
+	nt := &r.nets[n]
+	if net.Kind == Ordered || len(msgs) < 2 {
+		for _, m := range msgs {
+			dst = appendMsg(dst, m, nt.fieldW, pi)
+		}
+		return dst
+	}
+	return ms.appendSorted(dst, msgs, nt.fieldW, nt.recW, pi)
+}
+
+// appendValue appends the low w bytes of v's (pi-permuted) payload, least
+// significant first.
+func appendValue(dst []byte, v expr.Value, w int, pi Perm) []byte {
+	x := v.Payload()
+	if pi != nil {
+		x = permutePayload(v.Type().Kind, x, pi)
+	}
+	return appendLow(dst, x, w)
+}
+
+// appendLow appends the low w bytes of x, least significant first.
+func appendLow(dst []byte, x uint64, w int) []byte {
+	for ; w > 0; w-- {
+		dst = append(dst, byte(x))
+		x >>= 8
+	}
+	return dst
+}
+
+func appendMsg(dst []byte, m Msg, w []int, pi Perm) []byte {
+	for j, v := range m {
+		dst = appendValue(dst, v, w[j], pi)
+	}
+	return dst
+}
+
+// msgSorter sorts an unordered slot's fixed-width message records in
+// reusable buffers.
+type msgSorter struct {
+	rec  []byte
+	idx  []int
+	recW int
+	cmp  func(a, b int) int
+}
+
+// appendSorted appends the records of msgs (width recW each) in byte
+// order.
+func (ms *msgSorter) appendSorted(dst []byte, msgs []Msg, w []int, recW int, pi Perm) []byte {
+	ms.rec, ms.idx, ms.recW = ms.rec[:0], ms.idx[:0], recW
+	for i, m := range msgs {
+		ms.rec = appendMsg(ms.rec, m, w, pi)
+		ms.idx = append(ms.idx, i)
+	}
+	if ms.cmp == nil {
+		ms.cmp = ms.compare
+	}
+	slices.SortFunc(ms.idx, ms.cmp)
+	for _, i := range ms.idx {
+		dst = append(dst, ms.rec[i*recW:(i+1)*recW]...)
+	}
+	return dst
+}
+
+func (ms *msgSorter) compare(a, b int) int {
+	w := ms.recW
+	return bytes.Compare(ms.rec[a*w:a*w+w], ms.rec[b*w:b*w+w])
 }
 
 // FormatMsg renders a message with field names.

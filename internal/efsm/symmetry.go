@@ -2,7 +2,6 @@ package efsm
 
 import (
 	"fmt"
-	"sort"
 
 	"transit/internal/expr"
 )
@@ -87,17 +86,27 @@ func permuteValue(v expr.Value, pi Perm) expr.Value {
 	case expr.KindPID:
 		return expr.PIDVal(pi[v.PID()])
 	case expr.KindSet:
-		m := v.Set()
+		return expr.SetVal(permutePayload(expr.KindSet, v.Set(), pi))
+	}
+	return v
+}
+
+// permutePayload is permuteValue on a raw payload of the given kind.
+func permutePayload(k expr.Kind, x uint64, pi Perm) uint64 {
+	switch k {
+	case expr.KindPID:
+		return uint64(pi[x])
+	case expr.KindSet:
 		low := uint64(1)<<uint(len(pi)) - 1
-		out := m &^ low
+		out := x &^ low
 		for p := 0; p < len(pi); p++ {
-			if m&(1<<uint(p)) != 0 {
+			if x&(1<<uint(p)) != 0 {
 				out |= 1 << uint(pi[p])
 			}
 		}
-		return expr.SetVal(out)
+		return out
 	}
-	return v
+	return x
 }
 
 // permuteMsg value-permutes every field of a message.
@@ -126,7 +135,7 @@ func (r *Runtime) Permute(st *State, pi Perm) *State {
 	for _, inst := range r.Insts {
 		src := inst.Idx
 		if inst.Def.Replicated {
-			src = r.byDef[inst.Def][inv[inst.PID]]
+			src = r.procs[inst.Idx].peers[inv[inst.PID]]
 		}
 		sp := st.Procs[src]
 		vars := make([]expr.Value, len(sp.Vars))
@@ -327,24 +336,28 @@ type CanonEncoder struct {
 	g       *SymGroup
 	scratch []byte
 	best    []byte
-	keybuf  []string
+	sort    msgSorter
 }
 
 // Canonicalize returns the canonical key of st, the permutation sigma
 // with Encode(Permute(st, sigma)) == key (the lexicographically first
 // such permutation, so the choice is deterministic), and the orbit size
-// |S_n| / |stabilizer(st)|. Each permutation's encoding is compared to
-// the running minimum as it is built and abandoned on the first byte
-// that exceeds it, which prunes most of the n! scan in practice.
+// |S_n| / |stabilizer(st)|.
 func (e *CanonEncoder) Canonicalize(st *State) (string, Perm, int) {
+	key, sigma, orbit := e.Append(nil, st)
+	return string(key), sigma, orbit
+}
+
+// Append is Canonicalize appending the key to dst. Each permutation's
+// encoding is compared to the running minimum as it is built and
+// abandoned on the first byte that exceeds it, which prunes most of the
+// n! scan in practice.
+func (e *CanonEncoder) Append(dst []byte, st *State) ([]byte, Perm, int) {
 	minima := 1
-	var sigma Perm
-	for i, pi := range e.g.perms {
-		if i == 0 {
-			e.best = e.appendPermEncoding(e.best[:0], st, pi, e.g.invs[i])
-			sigma = pi
-			continue
-		}
+	sigma := e.g.perms[0]
+	e.best = e.appendPermEncoding(e.best[:0], st, sigma, e.g.invs[0])
+	for i := 1; i < len(e.g.perms); i++ {
+		pi := e.g.perms[i]
 		var cmp int
 		e.scratch, cmp = e.appendPermEncodingVs(e.scratch[:0], st, pi, e.g.invs[i], e.best)
 		switch {
@@ -356,65 +369,22 @@ func (e *CanonEncoder) Canonicalize(st *State) (string, Perm, int) {
 			minima++
 		}
 	}
-	return string(e.best), sigma, len(e.g.perms) / minima
+	return append(dst, e.best...), sigma, len(e.g.perms) / minima
 }
 
 // appendPermEncoding writes Encode(Permute(st, pi)) without materializing
-// the permuted state: instances read their source's local state with
-// values mapped through pi, by-field slots relocate through inv, and
-// unordered slots sort their permuted message encodings, mirroring
-// Runtime.Encode byte for byte (the identity permutation reproduces it
-// exactly; a test pins that).
+// the permuted state (inv is pi's inverse); the identity permutation
+// reproduces Runtime.Encode exactly (a test pins that).
 func (e *CanonEncoder) appendPermEncoding(dst []byte, st *State, pi, inv Perm) []byte {
-	r := e.g.r
-	for _, inst := range r.Insts {
-		src := inst.Idx
-		if inst.Def.Replicated {
-			src = r.byDef[inst.Def][inv[inst.PID]]
-		}
-		p := st.Procs[src]
-		dst = append(dst, byte(p.Ctl))
-		for _, v := range p.Vars {
-			dst = permuteValue(v, pi).AppendEncoding(dst)
-		}
-	}
-	for n, slots := range st.Nets {
-		net := r.Sys.Networks[n]
-		byField := net.Route == RouteByField
-		ordered := net.Kind == Ordered
-		for q := range slots {
-			srcSlot := q
-			if byField {
-				srcSlot = inv[q]
-			}
-			msgs := slots[srcSlot]
-			dst = append(dst, byte(len(msgs)), '|')
-			if ordered {
-				for _, m := range msgs {
-					dst = appendPermMsg(dst, m, pi)
-				}
-			} else {
-				keys := e.keybuf[:0]
-				for _, m := range msgs {
-					keys = append(keys, string(appendPermMsg(nil, m, pi)))
-				}
-				sort.Strings(keys)
-				for _, k := range keys {
-					dst = append(dst, k...)
-				}
-				e.keybuf = keys[:0]
-			}
-		}
-	}
-	return dst
+	return e.g.r.appendKey(dst, st, pi, inv, &e.sort)
 }
 
-// appendPermEncodingVs is appendPermEncoding with pruning: the bytes
-// written so far are compared against best after every instance and
-// network slot, and encoding stops with cmp > 0 as soon as the prefix is
-// strictly greater — that permutation cannot be the minimum. It returns
-// cmp < 0 (dst is a complete encoding strictly less than best), 0 (equal
-// to best), or > 0 (abandoned, dst is partial).
+// appendPermEncodingVs is appendPermEncoding with pruning: the bytes written so far
+// are compared against best after every instance and network slot, and
+// encoding stops with cmp > 0 as soon as the prefix is strictly greater —
+// that permutation cannot be the minimum. It returns cmp < 0 (dst is a
+// complete encoding strictly less than best), 0 (equal to best), or > 0
+// (abandoned, dst is partial).
 func (e *CanonEncoder) appendPermEncodingVs(dst []byte, st *State, pi, inv Perm, best []byte) ([]byte, int) {
 	r := e.g.r
 	cmp, pos := 0, 0
@@ -440,46 +410,15 @@ func (e *CanonEncoder) appendPermEncodingVs(dst []byte, st *State, pi, inv Perm,
 		}
 		return false
 	}
-	for _, inst := range r.Insts {
-		src := inst.Idx
-		if inst.Def.Replicated {
-			src = r.byDef[inst.Def][inv[inst.PID]]
-		}
-		p := st.Procs[src]
-		dst = append(dst, byte(p.Ctl))
-		for _, v := range p.Vars {
-			dst = permuteValue(v, pi).AppendEncoding(dst)
-		}
+	for i := range r.Insts {
+		dst = r.appendProc(dst, st, i, pi, inv)
 		if step() {
 			return dst, cmp
 		}
 	}
 	for n, slots := range st.Nets {
-		net := r.Sys.Networks[n]
-		byField := net.Route == RouteByField
-		ordered := net.Kind == Ordered
 		for q := range slots {
-			srcSlot := q
-			if byField {
-				srcSlot = inv[q]
-			}
-			msgs := slots[srcSlot]
-			dst = append(dst, byte(len(msgs)), '|')
-			if ordered {
-				for _, m := range msgs {
-					dst = appendPermMsg(dst, m, pi)
-				}
-			} else {
-				keys := e.keybuf[:0]
-				for _, m := range msgs {
-					keys = append(keys, string(appendPermMsg(nil, m, pi)))
-				}
-				sort.Strings(keys)
-				for _, k := range keys {
-					dst = append(dst, k...)
-				}
-				e.keybuf = keys[:0]
-			}
+			dst = r.appendSlot(dst, st, n, q, pi, inv, &e.sort)
 			if step() {
 				return dst, cmp
 			}
@@ -489,11 +428,4 @@ func (e *CanonEncoder) appendPermEncodingVs(dst []byte, st *State, pi, inv Perm,
 		cmp = -1
 	}
 	return dst, cmp
-}
-
-func appendPermMsg(dst []byte, m Msg, pi Perm) []byte {
-	for _, v := range m {
-		dst = permuteValue(v, pi).AppendEncoding(dst)
-	}
-	return dst
 }

@@ -104,6 +104,17 @@ func (v Value) EnumOrd() int {
 	return int(v.n)
 }
 
+// Payload returns the value's raw payload whatever its type: the 0/1 of
+// a Bool, the sign-extended two's complement of an Int, a PID index, a
+// Set bitmask, an Enum ordinal. Within one type, two values are equal iff
+// their payloads are.
+func (v Value) Payload() uint64 {
+	if v.t.Kind == KindSet {
+		return v.mask
+	}
+	return uint64(v.n)
+}
+
 func (v Value) check(k Kind) {
 	if v.t.Kind != k {
 		panic(fmt.Sprintf("expr: %s payload requested from %s value", k, v.t))

@@ -1,7 +1,9 @@
 package mc
 
 import (
-	"sort"
+	"cmp"
+	"slices"
+	"strings"
 
 	"transit/internal/efsm"
 )
@@ -19,10 +21,11 @@ import (
 //   - The frontier is globally sorted by canonical key, so "earliest
 //     frontier index" (the tie-break for semantics problems and deadlocks
 //     found at the same depth) means "least canonical key".
-//   - Candidates merge in (key, parent key, action index) order and the
-//     first wins, so when several depth-d parents reach the same new
-//     state, the recorded predecessor is the lexicographically least —
-//     every counterexample trace is reproducible run to run.
+//   - Candidates merge in (key, parent frontier index, action index)
+//     order and the first wins; frontier index order is key order, so
+//     when several depth-d parents reach the same new state, the
+//     recorded predecessor is the lexicographically least — every
+//     counterexample trace is reproducible run to run.
 //   - States are counted, and the MaxStates budget charged, in one
 //     sequential sweep over the key-sorted accepted list, so the budget
 //     cuts at exactly the same state no matter how many workers expanded.
@@ -32,32 +35,43 @@ import (
 // per-shard stats — is identical across worker counts.
 const numShards = 64
 
-// edge records how a state was first reached: the canonical key of its
-// predecessor, the action taken (in the predecessor's representative
-// frame), and the permutation that canonicalized the successor. Traces
-// replay through these, composing the permutations back to original PIDs.
+// A ref names a visited state: its index in its shard's edge slice times
+// numShards, plus the shard. noRef is the initial state's parent; maxRefs
+// keeps every real ref below it.
+const (
+	shardBits = 6 // log2(numShards)
+	maxRefs   = 1<<(32-shardBits) - 1
+	noRef     = ^uint32(0)
+)
+
+// edge records how a state was first reached: the ref of its
+// predecessor, the index of the action taken in Actions of the
+// predecessor's representative (the state the search expanded), and the
+// permutation that canonicalized the successor. Traces replay through
+// these, composing the permutations back to original PIDs.
 type edge struct {
-	parent string
-	action efsm.Action
+	parent uint32
+	action int32
 	sigma  efsm.Perm
-	init   bool
 }
 
-// shardSet is the visited map split across numShards sub-maps by key hash.
+// shardSet is the visited set split across numShards shards by key hash:
+// each maps a canonical key to its ref and holds its states' edges.
 type shardSet struct {
-	maps [numShards]map[string]edge
+	refs  [numShards]map[string]uint32
+	edges [numShards][]edge
 }
 
 func newShardSet() *shardSet {
 	s := &shardSet{}
-	for i := range s.maps {
-		s.maps[i] = make(map[string]edge)
+	for i := range s.refs {
+		s.refs[i] = make(map[string]uint32)
 	}
 	return s
 }
 
 // shardOf hashes a canonical key to its shard (FNV-1a).
-func shardOf(key string) int {
+func shardOf[K string | []byte](key K) int {
 	h := uint64(14695981039346656037)
 	for i := 0; i < len(key); i++ {
 		h ^= uint64(key[i])
@@ -66,36 +80,57 @@ func shardOf(key string) int {
 	return int(h & (numShards - 1))
 }
 
-func (s *shardSet) lookup(key string) (edge, bool) {
-	e, ok := s.maps[shardOf(key)][key]
-	return e, ok
+// seen reports whether a key is visited; a []byte key is looked up
+// without copying it.
+func (s *shardSet) seen(key []byte) bool {
+	_, ok := s.refs[shardOf(key)][string(key)]
+	return ok
+}
+
+// add records a new state in shard sh (which must be shardOf(key)) and
+// returns its ref, or false when the shard is full.
+func (s *shardSet) add(sh int, key string, e edge) (uint32, bool) {
+	idx := len(s.edges[sh])
+	if idx >= maxRefs {
+		return 0, false
+	}
+	ref := uint32(idx)<<shardBits | uint32(sh)
+	s.refs[sh][key] = ref
+	s.edges[sh] = append(s.edges[sh], e)
+	return ref, true
+}
+
+func (s *shardSet) edge(ref uint32) edge {
+	return s.edges[ref&(numShards-1)][ref>>shardBits]
 }
 
 // counts returns the per-shard visited sizes.
 func (s *shardSet) counts() []int {
 	out := make([]int, numShards)
-	for i := range s.maps {
-		out[i] = len(s.maps[i])
+	for i := range s.edges {
+		out[i] = len(s.edges[i])
 	}
 	return out
 }
 
-// frontEnt is one frontier state: its canonical key, its representative
-// state (the canonical frame when symmetry reduction applies, the state
-// itself otherwise), and its orbit size under the PID symmetry group.
+// frontEnt is one frontier state: its canonical key and visited ref, its
+// representative state (the canonical frame when symmetry reduction
+// applies, the state itself otherwise), and its orbit size under the PID
+// symmetry group.
 type frontEnt struct {
 	key   string
+	ref   uint32
 	st    *efsm.State
 	orbit int
 }
 
 // candidate is a successor produced during expansion, waiting for the
 // merge phase to decide whether it is new and which parent edge wins.
+// parent is the expanding state's frontier index.
 type candidate struct {
 	key    string
-	parent string
-	actIdx int
-	action efsm.Action
+	parent int32
+	actIdx int32
 	sigma  efsm.Perm
 	orbit  int
 	st     *efsm.State
@@ -103,23 +138,23 @@ type candidate struct {
 
 // sortCandidates orders candidates by (key, parent, action index): the
 // first candidate per key after this sort is the deterministic winner.
+// The frontier is key-sorted, so parent index order is parent key order.
 func sortCandidates(cands []candidate) {
-	sort.Slice(cands, func(i, j int) bool {
-		a, b := cands[i], cands[j]
-		if a.key != b.key {
-			return a.key < b.key
+	slices.SortFunc(cands, func(a, b candidate) int {
+		if c := strings.Compare(a.key, b.key); c != 0 {
+			return c
 		}
 		if a.parent != b.parent {
-			return a.parent < b.parent
+			return cmp.Compare(a.parent, b.parent)
 		}
-		return a.actIdx < b.actIdx
+		return cmp.Compare(a.actIdx, b.actIdx)
 	})
 }
 
 // sortFrontier orders a frontier by canonical key: the round-global order
 // that "least index" tie-breaks refer to.
 func sortFrontier(f []frontEnt) {
-	sort.Slice(f, func(i, j int) bool { return f[i].key < f[j].key })
+	slices.SortFunc(f, func(a, b frontEnt) int { return strings.Compare(a.key, b.key) })
 }
 
 // problemAt is a semantics problem or deadlock found at a frontier index;

@@ -17,6 +17,7 @@ package mc
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -289,11 +290,11 @@ func CheckCtx(ctx context.Context, r *efsm.Runtime, invs []Invariant, opts Optio
 			encs[w] = group.Encoder()
 		}
 	}
-	canon := func(enc *efsm.CanonEncoder, st *efsm.State) (string, efsm.Perm, int) {
+	canon := func(enc *efsm.CanonEncoder, dst []byte, st *efsm.State) ([]byte, efsm.Perm, int) {
 		if group == nil {
-			return r.Encode(st), nil, 1
+			return r.AppendEncode(dst, st), nil, 1
 		}
-		return enc.Canonicalize(st)
+		return enc.Append(dst, st)
 	}
 	rep := func(st *efsm.State, sigma efsm.Perm) *efsm.State {
 		if group == nil || sigma.IsIdentity() {
@@ -307,10 +308,11 @@ func CheckCtx(ctx context.Context, r *efsm.Runtime, invs []Invariant, opts Optio
 	if group != nil {
 		enc0 = encs[0]
 	}
-	initKey, initSigma, initOrbit := canon(enc0, init)
+	initKeyB, initSigma, initOrbit := canon(enc0, nil, init)
+	initKey := string(initKeyB)
 	visited = newShardSet()
-	visited.maps[shardOf(initKey)][initKey] = edge{init: true, sigma: initSigma}
-	frontier := []frontEnt{{key: initKey, st: rep(init, initSigma), orbit: initOrbit}}
+	initRef, _ := visited.add(shardOf(initKey), initKey, edge{parent: noRef, sigma: initSigma})
+	frontier := []frontEnt{{key: initKey, ref: initRef, st: rep(init, initSigma), orbit: initOrbit}}
 	res.States = 1
 	orbitSum = int64(initOrbit)
 
@@ -428,6 +430,7 @@ func CheckCtx(ctx context.Context, r *efsm.Runtime, invs []Invariant, opts Optio
 				defer wg.Done()
 				buckets := make([][]candidate, numShards)
 				enc := encs[w%len(encs)]
+				var key []byte
 				for i := w; i < len(frontier); i += workers {
 					if (i/workers)&255 == 255 && ctx.Err() != nil {
 						break
@@ -450,13 +453,15 @@ func CheckCtx(ctx context.Context, r *efsm.Runtime, invs []Invariant, opts Optio
 					transLocal[w] += int64(len(acts))
 					for ai, a := range acts {
 						next := r.Apply(ent.st, a)
-						key, sigma, orbit := canon(enc, next)
-						if _, seen := visited.lookup(key); seen {
+						var sigma efsm.Perm
+						var orbit int
+						key, sigma, orbit = canon(enc, key[:0], next)
+						if visited.seen(key) {
 							continue
 						}
 						sh := shardOf(key)
 						buckets[sh] = append(buckets[sh], candidate{
-							key: key, parent: ent.key, actIdx: ai, action: a,
+							key: string(key), parent: int32(i), actIdx: int32(ai),
 							sigma: sigma, orbit: orbit, st: rep(next, sigma)})
 					}
 				}
@@ -483,11 +488,11 @@ func CheckCtx(ctx context.Context, r *efsm.Runtime, invs []Invariant, opts Optio
 		if prob != nil {
 			ent := frontier[prob.idx]
 			if prob.deadlock {
-				steps, acts, _ := buildTrace(r, visited, ent.key)
+				steps, acts, _ := buildTrace(r, visited, ent.ref)
 				res.Violation = &Violation{Kind: Deadlock, Name: "deadlock",
 					Detail: "no enabled action", Trace: steps, actions: acts}
 			} else {
-				res.Violation = makeViolation(r, visited, ent.key, SemanticsProblem,
+				res.Violation = makeViolation(r, visited, ent.ref, SemanticsProblem,
 					prob.name, prob.detail, nil, 0)
 			}
 			return res, nil
@@ -498,6 +503,7 @@ func CheckCtx(ctx context.Context, r *efsm.Runtime, invs []Invariant, opts Optio
 		// (key, parent, action index), and admits the first edge per new
 		// key. Accepted entries come out key-sorted within each shard.
 		accepted := make([][]frontEnt, numShards)
+		full := make([]bool, workers)
 		var wgM sync.WaitGroup
 		for w := 0; w < workers; w++ {
 			wgM.Add(1)
@@ -513,20 +519,28 @@ func CheckCtx(ctx context.Context, r *efsm.Runtime, invs []Invariant, opts Optio
 						continue
 					}
 					sortCandidates(all)
-					m := visited.maps[sh]
+					m := visited.refs[sh]
 					var acc []frontEnt
 					for _, c := range all {
 						if _, seen := m[c.key]; seen {
 							continue
 						}
-						m[c.key] = edge{parent: c.parent, action: c.action, sigma: c.sigma}
-						acc = append(acc, frontEnt{key: c.key, st: c.st, orbit: c.orbit})
+						ref, ok := visited.add(sh, c.key, edge{
+							parent: frontier[c.parent].ref, action: c.actIdx, sigma: c.sigma})
+						if !ok {
+							full[w] = true
+							return
+						}
+						acc = append(acc, frontEnt{key: c.key, ref: ref, st: c.st, orbit: c.orbit})
 					}
 					accepted[sh] = acc
 				}
 			}(w)
 		}
 		wgM.Wait()
+		if slices.Contains(full, true) {
+			return res, fmt.Errorf("mc: visited shard full after %d states (%d per shard)", res.States, maxRefs)
+		}
 
 		// The next frontier, globally key-sorted: shard outputs are
 		// already sorted, so a k-way concatenation plus one sort (cheap,
@@ -578,7 +592,7 @@ func CheckCtx(ctx context.Context, r *efsm.Runtime, invs []Invariant, opts Optio
 			res.States++
 			orbitSum += int64(next[i].orbit)
 			if vAt != nil && vAt.idx == i {
-				res.Violation = makeViolation(r, visited, next[i].key, InvariantViolation,
+				res.Violation = makeViolation(r, visited, next[i].ref, InvariantViolation,
 					invs[vAt.inv].Name, vAt.detail, invs, vAt.inv)
 				return res, nil
 			}
@@ -609,9 +623,9 @@ func CheckCtx(ctx context.Context, r *efsm.Runtime, invs []Invariant, opts Optio
 }
 
 func shardMinMax(s *shardSet) (int64, int64) {
-	mn, mx := len(s.maps[0]), len(s.maps[0])
+	mn, mx := len(s.edges[0]), len(s.edges[0])
 	for i := 1; i < numShards; i++ {
-		if n := len(s.maps[i]); n < mn {
+		if n := len(s.edges[i]); n < mn {
 			mn = n
 		} else if n > mx {
 			mx = n
@@ -620,13 +634,13 @@ func shardMinMax(s *shardSet) (int64, int64) {
 	return int64(mn), int64(mx)
 }
 
-// makeViolation reconstructs the original-frame trace to key and rebuilds
+// makeViolation reconstructs the original-frame trace to ref and rebuilds
 // the human-readable name/detail from the replayed final state, so
 // counterexamples always describe the input system even when the
 // violation was found on a canonical representative.
-func makeViolation(r *efsm.Runtime, visited *shardSet, key string, kind ViolationKind,
+func makeViolation(r *efsm.Runtime, visited *shardSet, ref uint32, kind ViolationKind,
 	name, detail string, invs []Invariant, invIdx int) *Violation {
-	steps, acts, final := buildTrace(r, visited, key)
+	steps, acts, final := buildTrace(r, visited, ref)
 	switch kind {
 	case InvariantViolation:
 		name = invs[invIdx].Name
@@ -642,42 +656,30 @@ func makeViolation(r *efsm.Runtime, visited *shardSet, key string, kind Violatio
 	return &Violation{Kind: kind, Name: name, Detail: detail, Trace: steps, actions: acts}
 }
 
-// buildTrace walks the parent edges from key back to the initial state and
-// replays the path forward in the original PID frame: each stored action
-// lives in its parent representative's frame, so it is mapped through the
-// inverse of the accumulated permutation before being applied, and the
-// edge's canonicalizing permutation is composed on afterwards. With
-// symmetry reduction off every permutation is the identity and this is a
-// plain replay. The returned state is the final (violating) state in the
-// original frame.
-func buildTrace(r *efsm.Runtime, visited *shardSet, key string) ([]TraceStep, []efsm.Action, *efsm.State) {
-	type hop struct {
-		action efsm.Action
-		sigma  efsm.Perm
+// buildTrace walks the parent edges from ref back to the initial state and
+// replays the path forward in the original PID frame. It keeps rho, the
+// permutation taking the replayed state st to the representative the
+// search expanded (Permute(st, rho)), so each edge's action is
+// Actions(Permute(st, rho))[index], mapped into the original frame
+// through the inverse of rho before being applied; the edge's
+// canonicalizing permutation is then composed on. With symmetry reduction
+// off every permutation is the identity and this is a plain replay. The
+// returned state is the final (violating) state in the original frame.
+func buildTrace(r *efsm.Runtime, visited *shardSet, ref uint32) ([]TraceStep, []efsm.Action, *efsm.State) {
+	var hops []edge
+	e := visited.edge(ref)
+	for e.parent != noRef {
+		hops = append(hops, e)
+		e = visited.edge(e.parent)
 	}
-	var hops []hop
-	var rho efsm.Perm
-	for {
-		e, ok := visited.lookup(key)
-		if !ok {
-			break
-		}
-		if e.init {
-			rho = e.sigma
-			break
-		}
-		hops = append(hops, hop{e.action, e.sigma})
-		key = e.parent
-	}
-	// Reverse into execution order.
-	for i, j := 0, len(hops)-1; i < j; i, j = i+1, j-1 {
-		hops[i], hops[j] = hops[j], hops[i]
-	}
+	rho := e.sigma
+	slices.Reverse(hops)
 	st := r.Initial()
 	trace := []TraceStep{{State: r.FormatState(st)}}
 	actions := make([]efsm.Action, 0, len(hops))
 	for _, h := range hops {
-		a := r.PermuteAction(h.action, rho.Inverse())
+		repActs, _ := r.Actions(r.Permute(st, rho))
+		a := r.PermuteAction(repActs[h.action], rho.Inverse())
 		st = r.Apply(st, a)
 		rho = h.sigma.Compose(rho)
 		trace = append(trace, TraceStep{Action: r.FormatAction(a), State: r.FormatState(st)})
