@@ -62,6 +62,8 @@ type Runtime struct {
 	// instances of one definition); nets each network's.
 	procs []*procTable
 	nets  []netTable
+	// instW is the byte length of a vector's instance blocks.
+	instW int
 	// info holds the precomputed indices of every indexed transition.
 	info    map[*Transition]*transInfo
 	scratch sync.Pool
@@ -90,6 +92,9 @@ type netTable struct {
 	// fieldW is the key width of each field; recW their sum.
 	fieldW []int
 	recW   int
+	// slots is the number of receiver slots: one per PID for a by-field
+	// route, one otherwise.
+	slots int
 }
 
 // transInfo is a transition with its names resolved to indices.
@@ -144,6 +149,10 @@ func NewRuntime(sys *System) (*Runtime, error) {
 		r.netIdx[n] = i
 		netByName[n.Name] = i
 		nt := &r.nets[i]
+		nt.slots = 1
+		if n.Route == RouteByField {
+			nt.slots = sys.U.NumCaches()
+		}
 		for _, f := range n.Msg.Fields {
 			w := keyWidth(sys.U, f.T)
 			nt.fieldW = append(nt.fieldW, w)
@@ -169,9 +178,12 @@ func NewRuntime(sys *System) (*Runtime, error) {
 			pt.trigEv = append(pt.trigEv, first[trig])
 		}
 		pt.ctlW = keyWidth(sys.U, expr.EnumOf(d.States))
+		blockW := pt.ctlW
 		for _, v := range d.Vars {
 			pt.varW = append(pt.varW, keyWidth(sys.U, v.VT))
+			blockW += pt.varW[len(pt.varW)-1]
 		}
+		r.instW += blockW * n
 		pt.trans = make([][]*transInfo, len(d.States.Values)*pt.numEv)
 		for _, t := range d.Transitions {
 			ev, ok := -1, false
@@ -309,12 +321,8 @@ func (r *Runtime) Initial() *State {
 		}
 		st.Procs[i] = ProcState{Ctl: d.States.Ord(d.Init), Vars: vars}
 	}
-	for n, net := range r.Sys.Networks {
-		slots := 1
-		if net.Route == RouteByField {
-			slots = r.Sys.U.NumCaches()
-		}
-		st.Nets[n] = make([][]Msg, slots)
+	for n := range st.Nets {
+		st.Nets[n] = make([][]Msg, r.nets[n].slots)
 	}
 	return st
 }
@@ -619,12 +627,11 @@ func appendExact(msgs []Msg, m Msg) []Msg {
 	return out
 }
 
-// Encode renders a state as its key: per instance the control ordinal and
-// each variable's payload, each as its low keyWidth bytes, then per
-// network slot the message count as a uvarint, a '|' and the messages'
-// payload bytes, with unordered slots sorted into canonical order. Within
-// one runtime every field sits at a fixed width and the counts are
-// prefix-free, so the key is injective.
+// Encode renders a state as its key: the state's vector (AppendVector)
+// with every unordered slot's message records sorted into byte order, so
+// that states differing only in the order of unordered messages share a
+// key. Within one runtime every field sits at a fixed width and the
+// counts are prefix-free, so the key is injective.
 func (r *Runtime) Encode(st *State) string {
 	return string(r.AppendEncode(nil, st))
 }
@@ -633,60 +640,148 @@ func (r *Runtime) Encode(st *State) string {
 func (r *Runtime) AppendEncode(dst []byte, st *State) []byte {
 	sc := r.getScratch()
 	defer r.putScratch(sc)
-	return r.appendKey(dst, st, nil, nil, &sc.sort)
+	return r.appendKey(dst, st, &sc.sort)
 }
 
-// appendKey appends the key of Permute(st, pi) without building the
-// permuted state (pi and its inverse inv both nil: the key of st).
-func (r *Runtime) appendKey(dst []byte, st *State, pi, inv Perm, ms *msgSorter) []byte {
+// AppendVector appends st's vector to dst: per instance the control
+// ordinal and each variable's payload, each as its low keyWidth bytes,
+// then per network slot the message count as a uvarint, a '|' and the
+// messages' payload bytes in storage order. DecodeInto inverts it; the
+// storage order is what keeps a decoded state's Actions, and so action
+// indices and traces, those of the state encoded.
+func (r *Runtime) AppendVector(dst []byte, st *State) []byte {
+	return r.appendKey(dst, st, nil)
+}
+
+// appendKey appends st's key, or with ms nil its vector.
+func (r *Runtime) appendKey(dst []byte, st *State, ms *msgSorter) []byte {
 	for i := range r.Insts {
-		dst = r.appendProc(dst, st, i, pi, inv)
+		dst = r.appendProc(dst, st, i)
 	}
 	for n, slots := range st.Nets {
 		for q := range slots {
-			dst = r.appendSlot(dst, st, n, q, pi, inv, ms)
+			dst = r.appendSlot(dst, st, n, q, ms)
 		}
 	}
 	return dst
 }
 
-// appendProc appends instance i's part of the key of Permute(st, pi): a
-// replicated instance reads the local state of the instance with PID
-// inv[PID], values mapped through pi.
-func (r *Runtime) appendProc(dst []byte, st *State, i int, pi, inv Perm) []byte {
-	src := i
-	inst := r.Insts[i]
+// appendProc appends instance i's block: its control ordinal, then its
+// variables.
+func (r *Runtime) appendProc(dst []byte, st *State, i int) []byte {
 	pt := r.procs[i]
-	if inv != nil && inst.Def.Replicated {
-		src = pt.peers[inv[inst.PID]]
-	}
-	p := st.Procs[src]
+	p := st.Procs[i]
 	dst = appendLow(dst, uint64(p.Ctl), pt.ctlW)
 	for j, v := range p.Vars {
-		dst = appendValue(dst, v, pt.varW[j], pi)
+		dst = appendLow(dst, v.Payload(), pt.varW[j])
 	}
 	return dst
 }
 
-// appendSlot appends receiver slot q of network n's part of the key of
-// Permute(st, pi): by-field slots relocate through inv.
-func (r *Runtime) appendSlot(dst []byte, st *State, n, q int, pi, inv Perm, ms *msgSorter) []byte {
-	net := r.Sys.Networks[n]
-	src := q
-	if inv != nil && net.Route == RouteByField {
-		src = inv[q]
-	}
-	msgs := st.Nets[n][src]
+// appendSlot appends receiver slot q of network n, sorting the records of
+// an unordered slot through ms (nil: storage order).
+func (r *Runtime) appendSlot(dst []byte, st *State, n, q int, ms *msgSorter) []byte {
+	msgs := st.Nets[n][q]
 	dst = binary.AppendUvarint(dst, uint64(len(msgs)))
 	dst = append(dst, '|')
 	nt := &r.nets[n]
-	if net.Kind == Ordered || len(msgs) < 2 {
+	if ms == nil || r.Sys.Networks[n].Kind == Ordered || len(msgs) < 2 {
 		for _, m := range msgs {
-			dst = appendMsg(dst, m, nt.fieldW, pi)
+			dst = appendMsg(dst, m, nt.fieldW, nil)
 		}
 		return dst
 	}
-	return ms.appendSorted(dst, msgs, nt.fieldW, nt.recW, pi)
+	ms.buf = ms.buf[:0]
+	for _, m := range msgs {
+		ms.buf = appendMsg(ms.buf, m, nt.fieldW, nil)
+	}
+	return ms.appendSorted(dst, ms.buf, nt.recW)
+}
+
+// VectorKey appends the key of the state whose vector is vec: vec with
+// every unordered slot's records sorted. It equals AppendEncode of the
+// decoded state.
+func (r *Runtime) VectorKey(dst, vec []byte) []byte {
+	sc := r.getScratch()
+	defer r.putScratch(sc)
+	dst = append(dst, vec[:r.instW]...)
+	pos := r.instW
+	for n, net := range r.Sys.Networks {
+		recW := r.nets[n].recW
+		for q := 0; q < r.nets[n].slots; q++ {
+			cnt, k := binary.Uvarint(vec[pos:])
+			hdr := pos
+			pos += k + 1
+			end := pos + int(cnt)*recW
+			dst = append(dst, vec[hdr:pos]...)
+			if net.Kind == Ordered || cnt < 2 {
+				dst = append(dst, vec[pos:end]...)
+			} else {
+				dst = sc.sort.appendSorted(dst, vec[pos:end], recW)
+			}
+			pos = end
+		}
+	}
+	return dst
+}
+
+// DecodeInto decodes a vector written by AppendVector into dst, reusing
+// dst's slices. The decoded state equals the one encoded, Ints
+// sign-extended from the universe's width. dst must share no storage with
+// a state still in use — Apply's successors share their input's — so it
+// is typically a scratch state that only DecodeInto ever fills.
+func (r *Runtime) DecodeInto(dst *State, vec []byte) {
+	pos := 0
+	dst.Procs = resize(dst.Procs, len(r.Insts))
+	for i, inst := range r.Insts {
+		pt := r.procs[i]
+		p := &dst.Procs[i]
+		p.Ctl = int(readLow(vec[pos : pos+pt.ctlW]))
+		pos += pt.ctlW
+		p.Vars = resize(p.Vars, len(pt.varW))
+		for j, v := range inst.Def.Vars {
+			p.Vars[j] = r.decodeValue(v.VT, vec[pos:pos+pt.varW[j]])
+			pos += pt.varW[j]
+		}
+	}
+	dst.Nets = resize(dst.Nets, len(r.Sys.Networks))
+	for n, net := range r.Sys.Networks {
+		nt := &r.nets[n]
+		slots := resize(dst.Nets[n], nt.slots)
+		for q := range slots {
+			cnt, k := binary.Uvarint(vec[pos:])
+			pos += k + 1
+			msgs := resize(slots[q], int(cnt))
+			for m := range msgs {
+				msg := resize(msgs[m], len(nt.fieldW))
+				for j, f := range net.Msg.Fields {
+					msg[j] = r.decodeValue(f.T, vec[pos:pos+nt.fieldW[j]])
+					pos += nt.fieldW[j]
+				}
+				msgs[m] = msg
+			}
+			slots[q] = msgs
+		}
+		dst.Nets[n] = slots
+	}
+}
+
+// decodeValue decodes the key bytes b of a value of type t.
+func (r *Runtime) decodeValue(t expr.Type, b []byte) expr.Value {
+	x := readLow(b)
+	if t.Kind == expr.KindInt {
+		x = uint64(r.Sys.U.WrapInt(int64(x)))
+	}
+	return expr.PayloadVal(t, x)
+}
+
+// resize returns s with length n, keeping the elements past len(s) that
+// its capacity still holds so that their own slices are reused.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		s = append(s[:cap(s)], make([]T, n-cap(s))...)
+	}
+	return s[:n]
 }
 
 // appendValue appends the low w bytes of v's (pi-permuted) payload, least
@@ -708,6 +803,15 @@ func appendLow(dst []byte, x uint64, w int) []byte {
 	return dst
 }
 
+// readLow reads the little-endian unsigned integer in b.
+func readLow(b []byte) uint64 {
+	var x uint64
+	for i := len(b) - 1; i >= 0; i-- {
+		x = x<<8 | uint64(b[i])
+	}
+	return x
+}
+
 func appendMsg(dst []byte, m Msg, w []int, pi Perm) []byte {
 	for j, v := range m {
 		dst = appendValue(dst, v, w[j], pi)
@@ -718,18 +822,17 @@ func appendMsg(dst []byte, m Msg, w []int, pi Perm) []byte {
 // msgSorter sorts an unordered slot's fixed-width message records in
 // reusable buffers.
 type msgSorter struct {
-	rec  []byte
+	buf  []byte // records being built for sorting
+	rec  []byte // the records appendSorted is sorting
 	idx  []int
 	recW int
 	cmp  func(a, b int) int
 }
 
-// appendSorted appends the records of msgs (width recW each) in byte
-// order.
-func (ms *msgSorter) appendSorted(dst []byte, msgs []Msg, w []int, recW int, pi Perm) []byte {
-	ms.rec, ms.idx, ms.recW = ms.rec[:0], ms.idx[:0], recW
-	for i, m := range msgs {
-		ms.rec = appendMsg(ms.rec, m, w, pi)
+// appendSorted appends the recW-wide records of rec to dst in byte order.
+func (ms *msgSorter) appendSorted(dst, rec []byte, recW int) []byte {
+	ms.rec, ms.recW, ms.idx = rec, recW, ms.idx[:0]
+	for i := 0; i < len(rec)/recW; i++ {
 		ms.idx = append(ms.idx, i)
 	}
 	if ms.cmp == nil {
@@ -737,8 +840,9 @@ func (ms *msgSorter) appendSorted(dst []byte, msgs []Msg, w []int, recW int, pi 
 	}
 	slices.SortFunc(ms.idx, ms.cmp)
 	for _, i := range ms.idx {
-		dst = append(dst, ms.rec[i*recW:(i+1)*recW]...)
+		dst = append(dst, rec[i*recW:(i+1)*recW]...)
 	}
+	ms.rec = nil
 	return dst
 }
 

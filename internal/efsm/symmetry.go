@@ -1,7 +1,10 @@
 package efsm
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"transit/internal/expr"
 )
@@ -273,18 +276,67 @@ func symmetricExpr(u *expr.Universe, e expr.Expr, ctx string) error {
 // permutations).
 const MaxSymmetryPIDs = 8
 
+// Byte classes of a vector: how a PID permutation acts on one byte. A PID
+// or Set field is exactly one byte while n ≤ MaxSymmetryPIDs (a PID fits
+// a byte up to 256 PIDs, a Set up to 8); every byte of any other field,
+// and of the control ordinals and counts, is fixed.
+const (
+	clsPlain = iota
+	clsPID
+	clsSet
+	numClasses
+)
+
+// permMapsSize is the size of one permutation's byte maps: 256 entries
+// per class, indexed class<<8 | byte.
+const permMapsSize = numClasses << 8
+
 // SymGroup is the full symmetric group over the PID domain, precomputed
-// for a runtime whose system passed PIDSymmetric. It is immutable and
-// safe to share across goroutines; each goroutine takes its own Encoder.
+// for a runtime whose system passed PIDSymmetric as tables over the
+// runtime's vector layout. It is immutable and safe to share across
+// goroutines; each goroutine takes its own Encoder.
 type SymGroup struct {
 	r     *Runtime
 	perms []Perm
-	invs  []Perm
+	// maps holds each permutation's byte maps, permMapsSize bytes per
+	// permutation: plain (the identity), PID and Set.
+	maps []byte
+	// src holds, for each permutation, the source instance of each
+	// instance block and then the source slot of each network slot:
+	// Permute moves that block or slot to this position.
+	src  []int32
+	nsrc int
+	// instOff is the offset of each instance block in a vector (the last
+	// entry is the end of the blocks), instCls the class of each of their
+	// bytes. A replicated block relocates only between instances of one
+	// definition, whose blocks share one layout.
+	instOff []int
+	instCls []byte
+	// slotNet is each slot's network; recCls the class of each byte of a
+	// network's message record.
+	slotNet []int
+	recCls  [][]byte
+}
+
+// byteClasses appends the classes of the key bytes of a value of type t.
+func byteClasses(dst []byte, u *expr.Universe, t expr.Type) []byte {
+	cls := byte(clsPlain)
+	switch t.Kind {
+	case expr.KindPID:
+		cls = clsPID
+	case expr.KindSet:
+		cls = clsSet
+	}
+	for w := keyWidth(u, t); w > 0; w-- {
+		dst = append(dst, cls)
+	}
+	return dst
 }
 
 // NewSymGroup validates that the runtime's system is PID-symmetric and
 // within the exact canonicalizer's domain cap, then precomputes the
-// permutation group in lexicographic order (perms[0] is the identity).
+// permutation group in lexicographic order (perms[0] is the identity)
+// and each permutation's byte maps and relocations.
 func NewSymGroup(r *Runtime) (*SymGroup, error) {
 	if err := r.Sys.PIDSymmetric(); err != nil {
 		return nil, err
@@ -297,9 +349,7 @@ func NewSymGroup(r *Runtime) (*SymGroup, error) {
 	var gen func(prefix Perm, rest []int)
 	gen = func(prefix Perm, rest []int) {
 		if len(rest) == 0 {
-			p := append(Perm(nil), prefix...)
-			g.perms = append(g.perms, p)
-			g.invs = append(g.invs, p.Inverse())
+			g.perms = append(g.perms, append(Perm(nil), prefix...))
 			return
 		}
 		for i, v := range rest {
@@ -310,6 +360,63 @@ func NewSymGroup(r *Runtime) (*SymGroup, error) {
 		}
 	}
 	gen(make(Perm, 0, n), IdentityPerm(n))
+
+	u := r.Sys.U
+	for _, inst := range r.Insts {
+		g.instOff = append(g.instOff, len(g.instCls))
+		g.instCls = byteClasses(g.instCls, u, expr.EnumOf(inst.Def.States))
+		for _, v := range inst.Def.Vars {
+			g.instCls = byteClasses(g.instCls, u, v.VT)
+		}
+	}
+	g.instOff = append(g.instOff, len(g.instCls))
+	for n, net := range r.Sys.Networks {
+		var cls []byte
+		for _, f := range net.Msg.Fields {
+			cls = byteClasses(cls, u, f.T)
+		}
+		g.recCls = append(g.recCls, cls)
+		for q := 0; q < r.nets[n].slots; q++ {
+			g.slotNet = append(g.slotNet, n)
+		}
+	}
+
+	g.nsrc = len(r.Insts) + len(g.slotNet)
+	g.maps = make([]byte, 0, len(g.perms)*permMapsSize)
+	g.src = make([]int32, 0, len(g.perms)*g.nsrc)
+	for _, pi := range g.perms {
+		for cls := 0; cls < numClasses; cls++ {
+			for b := 0; b < 256; b++ {
+				x := uint64(b)
+				switch {
+				case cls == clsPID && b < n:
+					x = uint64(pi[b])
+				case cls == clsSet:
+					x = permutePayload(expr.KindSet, x, pi)
+				}
+				g.maps = append(g.maps, byte(x))
+			}
+		}
+		inv := pi.Inverse()
+		for _, inst := range r.Insts {
+			src := inst.Idx
+			if inst.Def.Replicated {
+				src = r.procs[inst.Idx].peers[inv[inst.PID]]
+			}
+			g.src = append(g.src, int32(src))
+		}
+		slot := 0
+		for n, net := range r.Sys.Networks {
+			for q := 0; q < r.nets[n].slots; q++ {
+				src := q
+				if net.Route == RouteByField {
+					src = inv[q]
+				}
+				g.src = append(g.src, int32(slot+src))
+			}
+			slot += r.nets[n].slots
+		}
+	}
 	return g, nil
 }
 
@@ -318,6 +425,10 @@ func (g *SymGroup) Degree() int { return g.r.Sys.U.NumCaches() }
 
 // Size is the group order, n!.
 func (g *SymGroup) Size() int { return len(g.perms) }
+
+// Perm returns the permutation with index i in lexicographic order (0 is
+// the identity).
+func (g *SymGroup) Perm(i int) Perm { return g.perms[i] }
 
 // Encoder returns a canonicalizer with its own scratch buffers. Encoders
 // are cheap; take one per goroutine (they are not safe for concurrent
@@ -332,11 +443,22 @@ func (g *SymGroup) Encoder() *CanonEncoder {
 // runs of a whole system reach the same canonical set), and it lets the
 // orbit size be counted in the same scan: the permutations achieving the
 // minimum form a coset of the stabilizer, so |orbit| = n! / #minima.
+//
+// It works on vectors (Runtime.AppendVector), never on States: each
+// permutation's image is built from the vector's bytes by relocating
+// instance blocks and slots and mapping every byte through the
+// permutation's map for its class.
 type CanonEncoder struct {
-	g       *SymGroup
-	scratch []byte
-	best    []byte
-	sort    msgSorter
+	g    *SymGroup
+	best []byte
+	// hdr, recs and cnt are, per slot of the vector being canonicalized,
+	// the offset of its count, the offset of its first record, and its
+	// record count.
+	hdr, recs, cnt []int
+	rec            []byte // an unordered slot's mapped records, unsorted
+	sorted         []byte // and sorted, for compare
+	vec            []byte // Canonicalize's vector
+	sort           msgSorter
 }
 
 // Canonicalize returns the canonical key of st, the permutation sigma
@@ -344,88 +466,188 @@ type CanonEncoder struct {
 // such permutation, so the choice is deterministic), and the orbit size
 // |S_n| / |stabilizer(st)|.
 func (e *CanonEncoder) Canonicalize(st *State) (string, Perm, int) {
-	key, sigma, orbit := e.Append(nil, st)
-	return string(key), sigma, orbit
+	e.vec = e.g.r.AppendVector(e.vec[:0], st)
+	key, sigma, orbit := e.Canon(nil, e.vec)
+	return string(key), e.g.perms[sigma], orbit
 }
 
-// Append is Canonicalize appending the key to dst. Each permutation's
-// encoding is compared to the running minimum as it is built and
-// abandoned on the first byte that exceeds it, which prunes most of the
-// n! scan in practice.
-func (e *CanonEncoder) Append(dst []byte, st *State) ([]byte, Perm, int) {
-	minima := 1
-	sigma := e.g.perms[0]
-	e.best = e.appendPermEncoding(e.best[:0], st, sigma, e.g.invs[0])
-	for i := 1; i < len(e.g.perms); i++ {
-		pi := e.g.perms[i]
-		var cmp int
-		e.scratch, cmp = e.appendPermEncodingVs(e.scratch[:0], st, pi, e.g.invs[i], e.best)
-		switch {
-		case cmp < 0:
-			e.best, e.scratch = e.scratch, e.best
-			sigma = pi
+// Canon appends to dst the canonical key of the state whose vector is
+// vec, and returns the index of sigma, the lexicographically first
+// permutation whose image has that key, and the orbit size. Each
+// permutation's image is compared to the running minimum byte by byte
+// without being written, and abandoned at the first byte that differs
+// unless it is smaller; that prunes almost all of the n! scan.
+func (e *CanonEncoder) Canon(dst, vec []byte) ([]byte, int, int) {
+	e.parse(vec)
+	minima, sigma := 1, 0
+	e.best = e.image(e.best[:0], vec, 0, true)
+	for p := 1; p < len(e.g.perms); p++ {
+		switch e.compare(vec, p, e.best) {
+		case -1:
+			e.best = e.image(e.best[:0], vec, p, true)
+			sigma = p
 			minima = 1
-		case cmp == 0:
+		case 0:
 			minima++
 		}
 	}
 	return append(dst, e.best...), sigma, len(e.g.perms) / minima
 }
 
-// appendPermEncoding writes Encode(Permute(st, pi)) without materializing
-// the permuted state (inv is pi's inverse); the identity permutation
-// reproduces Runtime.Encode exactly (a test pins that).
-func (e *CanonEncoder) appendPermEncoding(dst []byte, st *State, pi, inv Perm) []byte {
-	return e.g.r.appendKey(dst, st, pi, inv, &e.sort)
+// AppendRep appends the representative vector of vec under the
+// permutation with index p: the vector of Permute(decoded vec, perms[p]),
+// message order kept. Canon returns the index that makes it the
+// representative of the canonical key; it is a separate call because
+// only a state not yet visited needs one.
+func (e *CanonEncoder) AppendRep(dst, vec []byte, p int) []byte {
+	if p == 0 {
+		return append(dst, vec...)
+	}
+	e.parse(vec)
+	return e.image(dst, vec, p, false)
 }
 
-// appendPermEncodingVs is appendPermEncoding with pruning: the bytes written so far
-// are compared against best after every instance and network slot, and
-// encoding stops with cmp > 0 as soon as the prefix is strictly greater —
-// that permutation cannot be the minimum. It returns cmp < 0 (dst is a
-// complete encoding strictly less than best), 0 (equal to best), or > 0
-// (abandoned, dst is partial).
-func (e *CanonEncoder) appendPermEncodingVs(dst []byte, st *State, pi, inv Perm, best []byte) ([]byte, int) {
-	r := e.g.r
-	cmp, pos := 0, 0
-	// step compares the newly appended region; returns true to abandon.
-	step := func() bool {
-		if cmp < 0 {
-			return false
-		}
-		for ; pos < len(dst); pos++ {
-			if pos >= len(best) {
-				cmp = 1
-				return true
-			}
-			if dst[pos] == best[pos] {
-				continue
-			}
-			if dst[pos] < best[pos] {
-				cmp = -1
-				return false
-			}
-			cmp = 1
-			return true
-		}
-		return false
+// appendPermEncoding writes Encode(Permute(st, pi)) through the
+// permutation's tables (inv, pi's inverse, is implied by pi).
+func (e *CanonEncoder) appendPermEncoding(dst []byte, st *State, pi, _ Perm) []byte {
+	p := slices.IndexFunc(e.g.perms, func(q Perm) bool { return slices.Equal(q, pi) })
+	e.vec = e.g.r.AppendVector(e.vec[:0], st)
+	e.parse(e.vec)
+	return e.image(dst, e.vec, p, true)
+}
+
+// parse locates every slot of vec.
+func (e *CanonEncoder) parse(vec []byte) {
+	g := e.g
+	e.hdr, e.recs, e.cnt = e.hdr[:0], e.recs[:0], e.cnt[:0]
+	pos := g.instOff[len(g.instOff)-1]
+	for _, n := range g.slotNet {
+		cnt, k := binary.Uvarint(vec[pos:])
+		e.hdr = append(e.hdr, pos)
+		pos += k + 1
+		e.recs = append(e.recs, pos)
+		e.cnt = append(e.cnt, int(cnt))
+		pos += int(cnt) * len(g.recCls[n])
 	}
-	for i := range r.Insts {
-		dst = r.appendProc(dst, st, i, pi, inv)
-		if step() {
-			return dst, cmp
-		}
-	}
-	for n, slots := range st.Nets {
-		for q := range slots {
-			dst = r.appendSlot(dst, st, n, q, pi, inv, &e.sort)
-			if step() {
-				return dst, cmp
+}
+
+// image appends to dst the image of the parsed vector vec under the
+// permutation with index p: the key of Permute(st, perms[p]) when sorted,
+// its vector otherwise.
+func (e *CanonEncoder) image(dst, vec []byte, p int, sorted bool) []byte {
+	g := e.g
+	if p == 0 {
+		// The identity: vec itself, unordered slots sorted in place.
+		start := len(dst)
+		dst = append(dst, vec...)
+		for q, n := range g.slotNet {
+			if sorted && e.sortedSlot(n, int32(q)) {
+				recs := dst[start+e.recs[q] : start+e.recs[q]+e.cnt[q]*len(g.recCls[n])]
+				e.rec = append(e.rec[:0], recs...)
+				e.sort.appendSorted(recs[:0], e.rec, len(g.recCls[n]))
 			}
 		}
+		return dst
 	}
-	if cmp == 0 && len(dst) < len(best) {
-		cmp = -1
+	tab := g.maps[p*permMapsSize : (p+1)*permMapsSize]
+	src := g.src[p*g.nsrc : (p+1)*g.nsrc]
+	ni := len(g.instOff) - 1
+	for i := 0; i < ni; i++ {
+		from := g.instOff[src[i]]
+		cls := g.instCls[g.instOff[i]:g.instOff[i+1]]
+		dst = mapRecords(dst, vec[from:from+len(cls)], cls, tab)
 	}
-	return dst, cmp
+	for q, n := range g.slotNet {
+		s := src[ni+q]
+		cls := g.recCls[n]
+		recs := vec[e.recs[s] : e.recs[s]+e.cnt[s]*len(cls)]
+		dst = append(dst, vec[e.hdr[s]:e.recs[s]]...)
+		if sorted && e.sortedSlot(n, s) {
+			e.rec = mapRecords(e.rec[:0], recs, cls, tab)
+			dst = e.sort.appendSorted(dst, e.rec, len(cls))
+		} else {
+			dst = mapRecords(dst, recs, cls, tab)
+		}
+	}
+	return dst
+}
+
+// sortedSlot reports whether slot s, of network n, sorts its records in
+// a key.
+func (e *CanonEncoder) sortedSlot(n int, s int32) bool {
+	return e.cnt[s] > 1 && e.g.r.Sys.Networks[n].Kind == Unordered
+}
+
+// compare returns the sign of the comparison of the key image of the
+// parsed vector vec under the permutation with index p (image with sorted
+// set) against best, a key image of the same vector. It reads the image
+// byte by byte as it maps it and returns at the first difference.
+func (e *CanonEncoder) compare(vec []byte, p int, best []byte) int {
+	g := e.g
+	tab := g.maps[p*permMapsSize : (p+1)*permMapsSize]
+	src := g.src[p*g.nsrc : (p+1)*g.nsrc]
+	ni := len(g.instOff) - 1
+	for i := 0; i < ni; i++ {
+		from := g.instOff[src[i]]
+		lo, hi := g.instOff[i], g.instOff[i+1]
+		if c := compareMapped(vec[from:from+hi-lo], g.instCls[lo:hi], tab, best[lo:hi]); c != 0 {
+			return c
+		}
+	}
+	o := g.instOff[ni]
+	for q, n := range g.slotNet {
+		s := src[ni+q]
+		hdr := vec[e.hdr[s]:e.recs[s]]
+		if c := bytes.Compare(hdr, best[o:o+len(hdr)]); c != 0 {
+			return c
+		}
+		o += len(hdr)
+		cls := g.recCls[n]
+		recs := vec[e.recs[s] : e.recs[s]+e.cnt[s]*len(cls)]
+		ref := best[o : o+len(recs)]
+		o += len(recs)
+		if e.sortedSlot(n, s) {
+			e.rec = mapRecords(e.rec[:0], recs, cls, tab)
+			e.sorted = e.sort.appendSorted(e.sorted[:0], e.rec, len(cls))
+			if c := bytes.Compare(e.sorted, ref); c != 0 {
+				return c
+			}
+			continue
+		}
+		for len(recs) > 0 {
+			if c := compareMapped(recs[:len(cls)], cls, tab, ref[:len(cls)]); c != 0 {
+				return c
+			}
+			recs, ref = recs[len(cls):], ref[len(cls):]
+		}
+	}
+	return 0
+}
+
+// compareMapped compares b, bytes of the classes cls mapped through tab,
+// with ref, which has b's length.
+func compareMapped(b, cls, tab, ref []byte) int {
+	ref = ref[:len(b)]
+	cls = cls[:len(b)]
+	for j, x := range b {
+		if m := tab[int(cls[j])<<8|int(x)]; m != ref[j] {
+			if m < ref[j] {
+				return -1
+			}
+			return 1
+		}
+	}
+	return 0
+}
+
+// mapRecords appends recs, records of the byte classes cls, with every
+// byte mapped through tab.
+func mapRecords(dst, recs, cls []byte, tab []byte) []byte {
+	for len(recs) > 0 {
+		for j, b := range recs[:len(cls)] {
+			dst = append(dst, tab[int(cls[j])<<8|int(b)])
+		}
+		recs = recs[len(cls):]
+	}
+	return dst
 }

@@ -115,6 +115,15 @@ func (v Value) Payload() uint64 {
 	return uint64(v.n)
 }
 
+// PayloadVal is the inverse of Payload: the value of type t whose payload
+// is x. An Int payload must already be sign-extended.
+func PayloadVal(t Type, x uint64) Value {
+	if t.Kind == KindSet {
+		return Value{t: t, mask: x}
+	}
+	return Value{t: t, n: int64(x)}
+}
+
 func (v Value) check(k Kind) {
 	if v.t.Kind != k {
 		panic(fmt.Sprintf("expr: %s payload requested from %s value", k, v.t))

@@ -1,11 +1,11 @@
 package mc
 
 import (
+	"bytes"
 	"cmp"
+	"math"
 	"slices"
-	"strings"
-
-	"transit/internal/efsm"
+	"unsafe"
 )
 
 // The search is organized as depth-synchronized rounds over a hash-sharded
@@ -44,117 +44,203 @@ const (
 	noRef     = ^uint32(0)
 )
 
-// edge records how a state was first reached: the ref of its
+// seg locates bytes in an arena.
+type seg struct{ off, n uint32 }
+
+func (s seg) of(arena []byte) []byte { return arena[s.off : s.off+s.n] }
+
+// edge records a visited state: where its canonical key sits in its
+// shard's key arena, and how it was first reached — the ref of its
 // predecessor, the index of the action taken in Actions of the
 // predecessor's representative (the state the search expanded), and the
-// permutation that canonicalized the successor. Traces replay through
-// these, composing the permutations back to original PIDs.
+// index of the permutation that canonicalized the successor. Traces
+// replay through these, composing the permutations back to original PIDs.
 type edge struct {
+	key    seg
 	parent uint32
 	action int32
-	sigma  efsm.Perm
+	sigma  uint16
 }
 
-// shardSet is the visited set split across numShards shards by key hash:
-// each maps a canonical key to its ref and holds its states' edges.
-type shardSet struct {
-	refs  [numShards]map[string]uint32
-	edges [numShards][]edge
+// edgeBytes is the retained size of one edge.
+const edgeBytes = int(unsafe.Sizeof(edge{}))
+
+// visited is the visited set, split across numShards shards by key hash.
+type visited [numShards]shard
+
+// shard holds its states' keys back to back in one arena, their edges,
+// and an open-addressing table over them. A table entry is the key hash's
+// high 32 bits (its tag) above the edge index + 1; 0 marks an empty
+// entry. The table is at most half full, and a tag hit is confirmed on
+// the full key bytes, so membership is exact.
+type shard struct {
+	keys  []byte
+	edges []edge
+	table []uint64
+	// bits is log2(len(table)).
+	bits uint8
 }
 
-func newShardSet() *shardSet {
-	s := &shardSet{}
-	for i := range s.refs {
-		s.refs[i] = make(map[string]uint32)
-	}
-	return s
-}
-
-// shardOf hashes a canonical key to its shard (FNV-1a).
-func shardOf[K string | []byte](key K) int {
+// hashKey is FNV-1a over a canonical key: its low shardBits pick the
+// shard, its high 32 bits are the table tag.
+func hashKey(key []byte) uint64 {
 	h := uint64(14695981039346656037)
-	for i := 0; i < len(key); i++ {
-		h ^= uint64(key[i])
+	for _, b := range key {
+		h ^= uint64(b)
 		h *= 1099511628211
 	}
-	return int(h & (numShards - 1))
+	return h
 }
 
-// seen reports whether a key is visited; a []byte key is looked up
-// without copying it.
-func (s *shardSet) seen(key []byte) bool {
-	_, ok := s.refs[shardOf(key)][string(key)]
+// home is a tag's first probe position in a table of 1<<bits entries
+// (Fibonacci hashing), so that growing the table needs only the tags.
+func home(tag uint32, bits uint8) int {
+	return int((tag * 0x9E3779B9) >> (32 - bits))
+}
+
+// find returns the position of key in the table, or of the empty entry
+// where it belongs.
+func (s *shard) find(tag uint32, key []byte) (int, bool) {
+	mask := len(s.table) - 1
+	for i := home(tag, s.bits); ; i = (i + 1) & mask {
+		e := s.table[i]
+		if e == 0 {
+			return i, false
+		}
+		if uint32(e>>32) == tag && bytes.Equal(s.edges[uint32(e)-1].key.of(s.keys), key) {
+			return i, true
+		}
+	}
+}
+
+// has reports whether the key with hash h is visited.
+func (v *visited) has(h uint64, key []byte) bool {
+	s := &v[h&(numShards-1)]
+	if len(s.table) == 0 {
+		return false
+	}
+	_, ok := s.find(uint32(h>>32), key)
 	return ok
 }
 
-// add records a new state in shard sh (which must be shardOf(key)) and
-// returns its ref, or false when the shard is full.
-func (s *shardSet) add(sh int, key string, e edge) (uint32, bool) {
-	idx := len(s.edges[sh])
-	if idx >= maxRefs {
-		return 0, false
+// insert adds the key with hash h, reached by e, unless it is visited. It
+// returns the key's ref and whether it was added; ok is false when the
+// shard is full.
+func (v *visited) insert(h uint64, key []byte, e edge) (ref uint32, added, ok bool) {
+	sh := int(h & (numShards - 1))
+	s := &v[sh]
+	idx := len(s.edges)
+	if 2*(idx+1) > len(s.table) {
+		s.grow()
 	}
-	ref := uint32(idx)<<shardBits | uint32(sh)
-	s.refs[sh][key] = ref
-	s.edges[sh] = append(s.edges[sh], e)
-	return ref, true
+	tag := uint32(h >> 32)
+	at, found := s.find(tag, key)
+	if found {
+		return 0, false, true
+	}
+	if idx >= maxRefs || len(s.keys)+len(key) > math.MaxUint32 {
+		return 0, false, false
+	}
+	e.key = seg{uint32(len(s.keys)), uint32(len(key))}
+	s.keys = append(s.keys, key...)
+	s.edges = append(s.edges, e)
+	s.table[at] = uint64(tag)<<32 | uint64(idx+1)
+	return uint32(idx)<<shardBits | uint32(sh), true, true
 }
 
-func (s *shardSet) edge(ref uint32) edge {
-	return s.edges[ref&(numShards-1)][ref>>shardBits]
+// grow doubles the table (16 entries at first) and re-places every entry
+// by its tag.
+func (s *shard) grow() {
+	old := s.table
+	s.bits = max(4, s.bits+1)
+	s.table = make([]uint64, 1<<s.bits)
+	mask := len(s.table) - 1
+	for _, e := range old {
+		if e == 0 {
+			continue
+		}
+		i := home(uint32(e>>32), s.bits)
+		for s.table[i] != 0 {
+			i = (i + 1) & mask
+		}
+		s.table[i] = e
+	}
+}
+
+func (v *visited) edge(ref uint32) edge {
+	return v[ref&(numShards-1)].edges[ref>>shardBits]
+}
+
+// key returns the canonical key of a visited state.
+func (v *visited) key(ref uint32) []byte {
+	s := &v[ref&(numShards-1)]
+	return s.edges[ref>>shardBits].key.of(s.keys)
 }
 
 // counts returns the per-shard visited sizes.
-func (s *shardSet) counts() []int {
+func (v *visited) counts() []int {
 	out := make([]int, numShards)
-	for i := range s.edges {
-		out[i] = len(s.edges[i])
+	for i := range v {
+		out[i] = len(v[i].edges)
 	}
 	return out
 }
 
-// frontEnt is one frontier state: its canonical key and visited ref, its
-// representative state (the canonical frame when symmetry reduction
-// applies, the state itself otherwise), and its orbit size under the PID
-// symmetry group.
+// bytes is the memory the visited set retains: key arenas, tables and
+// edges, at their allocated capacity.
+func (v *visited) bytes() int64 {
+	var n int64
+	for i := range v {
+		s := &v[i]
+		n += int64(cap(s.keys) + 8*len(s.table) + edgeBytes*cap(s.edges))
+	}
+	return n
+}
+
+// frontEnt is one frontier state: its visited ref, its orbit size under
+// the PID symmetry group, and its representative vector (the canonical
+// frame when symmetry reduction applies, the state itself otherwise),
+// held in the round's frontier arena number arena.
 type frontEnt struct {
-	key   string
 	ref   uint32
-	st    *efsm.State
-	orbit int
+	orbit int32
+	arena uint16
+	vec   seg
 }
 
 // candidate is a successor produced during expansion, waiting for the
 // merge phase to decide whether it is new and which parent edge wins.
-// parent is the expanding state's frontier index.
+// Its key and representative vector sit in the arena of the worker w
+// that produced it; parent is the expanding state's frontier index.
 type candidate struct {
-	key    string
-	parent int32
-	actIdx int32
-	sigma  efsm.Perm
-	orbit  int
-	st     *efsm.State
+	hash     uint64
+	key, vec seg
+	parent   int32
+	action   int32
+	orbit    int32
+	sigma    uint16
+	w        uint16
 }
 
 // sortCandidates orders candidates by (key, parent, action index): the
 // first candidate per key after this sort is the deterministic winner.
 // The frontier is key-sorted, so parent index order is parent key order.
-func sortCandidates(cands []candidate) {
+func sortCandidates(cands []candidate, arenas [][]byte) {
 	slices.SortFunc(cands, func(a, b candidate) int {
-		if c := strings.Compare(a.key, b.key); c != 0 {
+		if c := bytes.Compare(a.key.of(arenas[a.w]), b.key.of(arenas[b.w])); c != 0 {
 			return c
 		}
 		if a.parent != b.parent {
 			return cmp.Compare(a.parent, b.parent)
 		}
-		return cmp.Compare(a.actIdx, b.actIdx)
+		return cmp.Compare(a.action, b.action)
 	})
 }
 
 // sortFrontier orders a frontier by canonical key: the round-global order
 // that "least index" tie-breaks refer to.
-func sortFrontier(f []frontEnt) {
-	slices.SortFunc(f, func(a, b frontEnt) int { return strings.Compare(a.key, b.key) })
+func sortFrontier(f []frontEnt, v *visited) {
+	slices.SortFunc(f, func(a, b frontEnt) int { return bytes.Compare(v.key(a.ref), v.key(b.ref)) })
 }
 
 // problemAt is a semantics problem or deadlock found at a frontier index;

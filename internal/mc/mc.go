@@ -15,8 +15,10 @@
 package mc
 
 import (
+	"bytes"
 	"context"
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 	"sync"
@@ -193,6 +195,10 @@ type Result struct {
 	// ShardStates is the per-shard visited-set occupancy (the sharding is
 	// worker-count-independent, so this too is deterministic).
 	ShardStates []int
+	// VisitedBytes is the memory the visited set retains: every shard's
+	// key arena, open-addressing table and edges, at their allocated
+	// capacity. It too is worker-count-independent.
+	VisitedBytes int64
 }
 
 // Check explores the reachable states of the runtime and verifies the
@@ -233,7 +239,7 @@ func CheckCtx(ctx context.Context, r *efsm.Runtime, invs []Invariant, opts Optio
 	// already published to the metrics registry, so running updates and
 	// the final settle add exact deltas instead of double-counting.
 	var repStates, repTransitions, repOrbit atomic.Int64
-	var visited *shardSet
+	var seen *visited
 	var orbitSum int64
 	defer func() {
 		res.Elapsed = time.Since(start)
@@ -244,8 +250,9 @@ func CheckCtx(ctx context.Context, r *efsm.Runtime, invs []Invariant, opts Optio
 		if res.States > 0 {
 			res.ReductionFactor = float64(orbitSum) / float64(res.States)
 		}
-		if visited != nil {
-			res.ShardStates = visited.counts()
+		if seen != nil {
+			res.ShardStates = seen.counts()
+			res.VisitedBytes = seen.bytes()
 		}
 		span.SetAttr(obs.Int("states", res.States),
 			obs.Int("transitions", res.Transitions),
@@ -254,7 +261,8 @@ func CheckCtx(ctx context.Context, r *efsm.Runtime, invs []Invariant, opts Optio
 			obs.Bool("complete", res.Complete),
 			obs.Float("states_per_sec", res.StatesPerSec),
 			obs.Int("canonical_states", res.CanonicalStates),
-			obs.Float("reduction_factor", res.ReductionFactor))
+			obs.Float("reduction_factor", res.ReductionFactor),
+			obs.Int64("visited_bytes", res.VisitedBytes))
 		span.End()
 		if reg := obs.MetricsFrom(ctx); reg != nil {
 			reg.Counter("mc.runs").Inc()
@@ -270,11 +278,12 @@ func CheckCtx(ctx context.Context, r *efsm.Runtime, invs []Invariant, opts Optio
 			}
 			reg.Gauge("mc.frontier_depth").Set(int64(res.Depth))
 			reg.Gauge("mc.reduction_factor_milli").Set(int64(res.ReductionFactor * 1000))
-			if visited != nil {
-				mn, mx := shardMinMax(visited)
+			if seen != nil {
+				mn, mx := shardMinMax(seen)
 				reg.Gauge("mc.shard.count").Set(int64(numShards))
 				reg.Gauge("mc.shard.states_min").Set(mn)
 				reg.Gauge("mc.shard.states_max").Set(mx)
+				reg.Gauge("mc.visited_bytes").Set(res.VisitedBytes)
 			}
 			reg.Histogram("mc.check_ms").Observe(res.Elapsed)
 		}
@@ -283,36 +292,43 @@ func CheckCtx(ctx context.Context, r *efsm.Runtime, invs []Invariant, opts Optio
 		return res, fmt.Errorf("mc: search aborted after %d states: %w", res.States, err)
 	}
 
-	// Per-worker canonical encoders share the (immutable) group.
-	encs := make([]*efsm.CanonEncoder, workers)
-	if group != nil {
-		for w := range encs {
-			encs[w] = group.Encoder()
+	// Each worker owns a scratch state that frontier vectors decode into,
+	// a canonical encoder (the group behind it is shared), and an arena
+	// for its candidates' keys and vectors. cur and nxt are the frontier
+	// arenas of this round and the next, one per worker.
+	wks := make([]*worker, workers)
+	arenas := make([][]byte, workers)
+	cur, nxt := make([][]byte, workers), make([][]byte, workers)
+	for w := range wks {
+		wks[w] = &worker{}
+		if group != nil {
+			wks[w].enc = group.Encoder()
 		}
 	}
-	canon := func(enc *efsm.CanonEncoder, dst []byte, st *efsm.State) ([]byte, efsm.Perm, int) {
+	// canon appends the key of the state with vector vec to dst and
+	// returns it with its permutation index and orbit size; rep appends
+	// the representative vector.
+	canon := func(wk *worker, dst, vec []byte) ([]byte, int, int) {
 		if group == nil {
-			return r.AppendEncode(dst, st), nil, 1
+			return r.VectorKey(dst, vec), 0, 1
 		}
-		return enc.Append(dst, st)
+		return wk.enc.Canon(dst, vec)
 	}
-	rep := func(st *efsm.State, sigma efsm.Perm) *efsm.State {
-		if group == nil || sigma.IsIdentity() {
-			return st
+	rep := func(wk *worker, dst, vec []byte, sigma int) []byte {
+		if group == nil {
+			return append(dst, vec...)
 		}
-		return r.Permute(st, sigma)
+		return wk.enc.AppendRep(dst, vec, sigma)
 	}
 
 	init := r.Initial()
-	var enc0 *efsm.CanonEncoder
-	if group != nil {
-		enc0 = encs[0]
-	}
-	initKeyB, initSigma, initOrbit := canon(enc0, nil, init)
-	initKey := string(initKeyB)
-	visited = newShardSet()
-	initRef, _ := visited.add(shardOf(initKey), initKey, edge{parent: noRef, sigma: initSigma})
-	frontier := []frontEnt{{key: initKey, ref: initRef, st: rep(init, initSigma), orbit: initOrbit}}
+	initVec := r.AppendVector(nil, init)
+	initKey, initSigma, initOrbit := canon(wks[0], nil, initVec)
+	seen = &visited{}
+	initRef, _, _ := seen.insert(hashKey(initKey), initKey, edge{parent: noRef, sigma: uint16(initSigma)})
+	cur[0] = rep(wks[0], cur[0], initVec, initSigma)
+	frontier := []frontEnt{{ref: initRef, orbit: int32(initOrbit), vec: seg{0, uint32(len(cur[0]))}}}
+	var spare []frontEnt // the previous round's frontier, reused for the next
 	res.States = 1
 	orbitSum = int64(initOrbit)
 
@@ -338,7 +354,7 @@ func CheckCtx(ctx context.Context, r *efsm.Runtime, invs []Invariant, opts Optio
 		interval = time.Second
 	}
 	var progStates, progTransitions, progDepth, progQueue atomic.Int64
-	var progFrontier, progShardMin, progShardMax, progOrbit atomic.Int64
+	var progFrontier, progShardMin, progShardMax, progOrbit, progVisited atomic.Int64
 	progStates.Store(1)
 	progQueue.Store(1)
 	progOrbit.Store(orbitSum)
@@ -376,6 +392,7 @@ func CheckCtx(ctx context.Context, r *efsm.Runtime, invs []Invariant, opts Optio
 			reg.Gauge("mc.shard.count").Set(int64(numShards))
 			reg.Gauge("mc.shard.states_min").Set(progShardMin.Load())
 			reg.Gauge("mc.shard.states_max").Set(progShardMax.Load())
+			reg.Gauge("mc.visited_bytes").Set(progVisited.Load())
 			if states > 0 {
 				reg.Gauge("mc.reduction_factor_milli").Set(progOrbit.Load() * 1000 / states)
 			}
@@ -415,84 +432,101 @@ func CheckCtx(ctx context.Context, r *efsm.Runtime, invs []Invariant, opts Optio
 		}
 
 		// Phase A — expand: workers take frontier entries by stride,
-		// reading the visited shards lock-free (no one writes until the
-		// merge barrier) and bucketing candidate successors by shard.
-		// Frontier states with semantics problems (or, when enabled, no
-		// enabled action) are not expanded; the least frontier index —
-		// least canonical key — wins the round.
-		cands := make([][][]candidate, workers)
-		probs := make([]*problemAt, workers)
-		transLocal := make([]int64, workers)
+		// decode each into their scratch state, and canonicalize every
+		// successor straight back to bytes, reading the visited shards
+		// lock-free (no one writes until the merge barrier) and bucketing
+		// new candidates by shard. Frontier states with semantics problems
+		// (or, when enabled, no enabled action) are not expanded; the
+		// least frontier index — least canonical key — wins the round.
 		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
+		for w, wk := range wks {
 			wg.Add(1)
-			go func(w int) {
+			go func(w int, wk *worker) {
 				defer wg.Done()
-				buckets := make([][]candidate, numShards)
-				enc := encs[w%len(encs)]
-				var key []byte
+				wk.prob, wk.full = nil, false
+				wk.transitions = 0
+				arena := arenas[w][:0]
+				for sh := range wk.buckets {
+					wk.buckets[sh] = wk.buckets[sh][:0]
+				}
 				for i := w; i < len(frontier); i += workers {
 					if (i/workers)&255 == 255 && ctx.Err() != nil {
 						break
 					}
 					ent := frontier[i]
-					acts, aprobs := r.Actions(ent.st)
+					r.DecodeInto(&wk.st, ent.vec.of(cur[ent.arena]))
+					acts, aprobs := r.Actions(&wk.st)
 					if len(aprobs) > 0 {
-						if probs[w] == nil {
-							probs[w] = &problemAt{idx: i,
+						if wk.prob == nil {
+							wk.prob = &problemAt{idx: i,
 								name: aprobs[0].Kind.String(), detail: aprobs[0].Detail}
 						}
 						continue
 					}
 					if opts.CheckDeadlock && len(acts) == 0 {
-						if probs[w] == nil {
-							probs[w] = &problemAt{idx: i, deadlock: true}
+						if wk.prob == nil {
+							wk.prob = &problemAt{idx: i, deadlock: true}
 						}
 						continue
 					}
-					transLocal[w] += int64(len(acts))
+					wk.transitions += int64(len(acts))
 					for ai, a := range acts {
-						next := r.Apply(ent.st, a)
-						var sigma efsm.Perm
-						var orbit int
-						key, sigma, orbit = canon(enc, key[:0], next)
-						if visited.seen(key) {
+						wk.vec = r.AppendVector(wk.vec[:0], r.Apply(&wk.st, a))
+						koff := len(arena)
+						var sigma, orbit int
+						arena, sigma, orbit = canon(wk, arena, wk.vec)
+						key := arena[koff:]
+						h := hashKey(key)
+						if seen.has(h, key) {
+							arena = arena[:koff]
 							continue
 						}
-						sh := shardOf(key)
-						buckets[sh] = append(buckets[sh], candidate{
-							key: string(key), parent: int32(i), actIdx: int32(ai),
-							sigma: sigma, orbit: orbit, st: rep(next, sigma)})
+						k := seg{uint32(koff), uint32(len(key))}
+						arena = rep(wk, arena, wk.vec, sigma)
+						v := seg{k.off + k.n, uint32(len(arena)) - k.off - k.n}
+						if bytes.Equal(v.of(arena), k.of(arena)) {
+							arena, v = arena[:v.off], k
+						}
+						if len(arena) > math.MaxUint32 {
+							wk.full = true
+							break
+						}
+						wk.buckets[h&(numShards-1)] = append(wk.buckets[h&(numShards-1)], candidate{
+							hash: h, key: k, vec: v, parent: int32(i), action: int32(ai),
+							orbit: int32(orbit), sigma: uint16(sigma), w: uint16(w)})
 					}
 				}
-				cands[w] = buckets
-			}(w)
+				arenas[w] = arena
+			}(w, wk)
 		}
 		wg.Wait()
-		for _, tl := range transLocal {
-			res.Transitions += int(tl)
+		for _, wk := range wks {
+			res.Transitions += int(wk.transitions)
 		}
 		if ctx.Err() != nil {
 			return abort()
+		}
+		if err := storageFull(wks, res.States); err != nil {
+			return res, err
 		}
 
 		// Resolve problems/deadlocks: strided assignment means each
 		// worker's first hit is its least index, and the global least
 		// index is the least canonical key at this depth.
 		var prob *problemAt
-		for _, p := range probs {
-			if p != nil && (prob == nil || p.idx < prob.idx) {
+		for _, wk := range wks {
+			if p := wk.prob; p != nil && (prob == nil || p.idx < prob.idx) {
 				prob = p
 			}
 		}
 		if prob != nil {
 			ent := frontier[prob.idx]
 			if prob.deadlock {
-				steps, acts, _ := buildTrace(r, visited, ent.ref)
+				steps, acts, _ := buildTrace(r, group, seen, ent.ref)
 				res.Violation = &Violation{Kind: Deadlock, Name: "deadlock",
 					Detail: "no enabled action", Trace: steps, actions: acts}
 			} else {
-				res.Violation = makeViolation(r, visited, ent.ref, SemanticsProblem,
+				res.Violation = makeViolation(r, group, seen, ent.ref, SemanticsProblem,
 					prob.name, prob.detail, nil, 0)
 			}
 			return res, nil
@@ -500,78 +534,78 @@ func CheckCtx(ctx context.Context, r *efsm.Runtime, invs []Invariant, opts Optio
 
 		// Phase B — merge: each shard has one owner worker, which gathers
 		// that shard's candidates from every expander, sorts them by
-		// (key, parent, action index), and admits the first edge per new
-		// key. Accepted entries come out key-sorted within each shard.
-		accepted := make([][]frontEnt, numShards)
-		full := make([]bool, workers)
+		// (key, parent, action index), admits the first edge per new key,
+		// and copies the winner's vector into its own next-frontier arena.
+		// Each shard's winners come out key-sorted.
 		var wgM sync.WaitGroup
-		for w := 0; w < workers; w++ {
+		for w, wk := range wks {
 			wgM.Add(1)
-			go func(w int) {
+			go func(w int, wk *worker) {
 				defer wgM.Done()
-				var all []candidate
+				out := nxt[w][:0]
+				defer func() { nxt[w] = out }()
+				wk.won = wk.won[:0]
 				for sh := w; sh < numShards; sh += workers {
-					all = all[:0]
-					for ww := 0; ww < workers; ww++ {
-						all = append(all, cands[ww][sh]...)
+					all := wk.merge[:0]
+					for _, ex := range wks {
+						all = append(all, ex.buckets[sh]...)
 					}
-					if len(all) == 0 {
-						continue
-					}
-					sortCandidates(all)
-					m := visited.refs[sh]
-					var acc []frontEnt
+					wk.merge = all
+					sortCandidates(all, arenas)
 					for _, c := range all {
-						if _, seen := m[c.key]; seen {
-							continue
-						}
-						ref, ok := visited.add(sh, c.key, edge{
-							parent: frontier[c.parent].ref, action: c.actIdx, sigma: c.sigma})
-						if !ok {
-							full[w] = true
+						ref, added, ok := seen.insert(c.hash, c.key.of(arenas[c.w]), edge{
+							parent: frontier[c.parent].ref, action: c.action, sigma: c.sigma})
+						if !ok || len(out)+int(c.vec.n) > math.MaxUint32 {
+							wk.full = true
 							return
 						}
-						acc = append(acc, frontEnt{key: c.key, ref: ref, st: c.st, orbit: c.orbit})
+						if !added {
+							continue
+						}
+						v := seg{uint32(len(out)), c.vec.n}
+						out = append(out, c.vec.of(arenas[c.w])...)
+						wk.won = append(wk.won, frontEnt{ref: ref, orbit: c.orbit, arena: uint16(w), vec: v})
 					}
-					accepted[sh] = acc
 				}
-			}(w)
+			}(w, wk)
 		}
 		wgM.Wait()
-		if slices.Contains(full, true) {
-			return res, fmt.Errorf("mc: visited shard full after %d states (%d per shard)", res.States, maxRefs)
+		if err := storageFull(wks, res.States); err != nil {
+			return res, err
 		}
 
-		// The next frontier, globally key-sorted: shard outputs are
-		// already sorted, so a k-way concatenation plus one sort (cheap,
+		// The next frontier, globally key-sorted: every worker's winners
+		// are key-sorted runs, so a concatenation plus one sort (cheap,
 		// mostly-sorted runs) yields the canonical round order.
-		var next []frontEnt
-		for sh := 0; sh < numShards; sh++ {
-			next = append(next, accepted[sh]...)
+		next := spare[:0]
+		for _, wk := range wks {
+			next = append(next, wk.won...)
 		}
-		sortFrontier(next)
+		sortFrontier(next, seen)
 
-		// Phase C — invariants on the accepted states (representative
-		// frame; invariants must be symmetric when reduction is on). The
-		// least accepted index with a violation wins; per state, the
-		// least invariant index.
+		// Phase C — invariants on the accepted states, each decoded into
+		// the checking worker's scratch state (representative frame;
+		// invariants must be symmetric when reduction is on). The least
+		// accepted index with a violation wins; per state, the least
+		// invariant index.
 		var vAt *violAt
 		if len(invs) > 0 && len(next) > 0 {
 			viols := make([]*violAt, workers)
 			var wgI sync.WaitGroup
-			for w := 0; w < workers; w++ {
+			for w, wk := range wks {
 				wgI.Add(1)
-				go func(w int) {
+				go func(w int, wk *worker) {
 					defer wgI.Done()
 					for i := w; i < len(next); i += workers {
+						r.DecodeInto(&wk.st, next[i].vec.of(nxt[next[i].arena]))
 						for vi, inv := range invs {
-							if ok, detail := inv.Check(r, next[i].st); !ok {
+							if ok, detail := inv.Check(r, &wk.st); !ok {
 								viols[w] = &violAt{idx: i, inv: vi, detail: detail}
 								return
 							}
 						}
 					}
-				}(w)
+				}(w, wk)
 			}
 			wgI.Wait()
 			for _, v := range viols {
@@ -592,7 +626,7 @@ func CheckCtx(ctx context.Context, r *efsm.Runtime, invs []Invariant, opts Optio
 			res.States++
 			orbitSum += int64(next[i].orbit)
 			if vAt != nil && vAt.idx == i {
-				res.Violation = makeViolation(r, visited, next[i].ref, InvariantViolation,
+				res.Violation = makeViolation(r, group, seen, next[i].ref, InvariantViolation,
 					invs[vAt.inv].Name, vAt.detail, invs, vAt.inv)
 				return res, nil
 			}
@@ -607,14 +641,16 @@ func CheckCtx(ctx context.Context, r *efsm.Runtime, invs []Invariant, opts Optio
 		progQueue.Store(int64(len(next)))
 		progFrontier.Store(int64(depth + 1))
 		progOrbit.Store(orbitSum)
-		mn, mx := shardMinMax(visited)
+		mn, mx := shardMinMax(seen)
 		progShardMin.Store(mn)
 		progShardMax.Store(mx)
+		progVisited.Store(seen.bytes())
 		if span != nil && interval > 0 {
 			beat(time.Now())
 		}
 
-		frontier = next
+		frontier, spare = next, frontier
+		cur, nxt = nxt, cur
 		depth++
 	}
 	res.OK = true
@@ -622,10 +658,41 @@ func CheckCtx(ctx context.Context, r *efsm.Runtime, invs []Invariant, opts Optio
 	return res, nil
 }
 
-func shardMinMax(s *shardSet) (int64, int64) {
-	mn, mx := len(s.edges[0]), len(s.edges[0])
+// worker is one frontier worker's state, kept across rounds.
+type worker struct {
+	// st is the scratch state frontier vectors decode into.
+	st  efsm.State
+	enc *efsm.CanonEncoder
+	// vec is the successor vector being canonicalized.
+	vec []byte
+	// buckets holds this round's candidates by shard.
+	buckets     [numShards][]candidate
+	transitions int64
+	prob        *problemAt
+	// merge gathers one shard's candidates; won collects the states the
+	// worker's shards admitted this round.
+	merge []candidate
+	won   []frontEnt
+	// full reports that a visited shard or an arena ran out of refs or
+	// 32-bit offsets this round.
+	full bool
+}
+
+// storageFull is the error for a round in which some worker's storage
+// filled up.
+func storageFull(wks []*worker, states int) error {
+	for _, wk := range wks {
+		if wk.full {
+			return fmt.Errorf("mc: state storage full after %d states (%d states per visited shard, 4 GiB per arena)", states, maxRefs)
+		}
+	}
+	return nil
+}
+
+func shardMinMax(v *visited) (int64, int64) {
+	mn, mx := len(v[0].edges), len(v[0].edges)
 	for i := 1; i < numShards; i++ {
-		if n := len(s.edges[i]); n < mn {
+		if n := len(v[i].edges); n < mn {
 			mn = n
 		} else if n > mx {
 			mx = n
@@ -638,9 +705,9 @@ func shardMinMax(s *shardSet) (int64, int64) {
 // the human-readable name/detail from the replayed final state, so
 // counterexamples always describe the input system even when the
 // violation was found on a canonical representative.
-func makeViolation(r *efsm.Runtime, visited *shardSet, ref uint32, kind ViolationKind,
+func makeViolation(r *efsm.Runtime, group *efsm.SymGroup, seen *visited, ref uint32, kind ViolationKind,
 	name, detail string, invs []Invariant, invIdx int) *Violation {
-	steps, acts, final := buildTrace(r, visited, ref)
+	steps, acts, final := buildTrace(r, group, seen, ref)
 	switch kind {
 	case InvariantViolation:
 		name = invs[invIdx].Name
@@ -665,14 +732,20 @@ func makeViolation(r *efsm.Runtime, visited *shardSet, ref uint32, kind Violatio
 // canonicalizing permutation is then composed on. With symmetry reduction
 // off every permutation is the identity and this is a plain replay. The
 // returned state is the final (violating) state in the original frame.
-func buildTrace(r *efsm.Runtime, visited *shardSet, ref uint32) ([]TraceStep, []efsm.Action, *efsm.State) {
+func buildTrace(r *efsm.Runtime, group *efsm.SymGroup, seen *visited, ref uint32) ([]TraceStep, []efsm.Action, *efsm.State) {
+	perm := func(i uint16) efsm.Perm {
+		if group == nil {
+			return nil
+		}
+		return group.Perm(int(i))
+	}
 	var hops []edge
-	e := visited.edge(ref)
+	e := seen.edge(ref)
 	for e.parent != noRef {
 		hops = append(hops, e)
-		e = visited.edge(e.parent)
+		e = seen.edge(e.parent)
 	}
-	rho := e.sigma
+	rho := perm(e.sigma)
 	slices.Reverse(hops)
 	st := r.Initial()
 	trace := []TraceStep{{State: r.FormatState(st)}}
@@ -681,7 +754,7 @@ func buildTrace(r *efsm.Runtime, visited *shardSet, ref uint32) ([]TraceStep, []
 		repActs, _ := r.Actions(r.Permute(st, rho))
 		a := r.PermuteAction(repActs[h.action], rho.Inverse())
 		st = r.Apply(st, a)
-		rho = h.sigma.Compose(rho)
+		rho = perm(h.sigma).Compose(rho)
 		trace = append(trace, TraceStep{Action: r.FormatAction(a), State: r.FormatState(st)})
 		actions = append(actions, a)
 	}

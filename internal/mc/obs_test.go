@@ -57,3 +57,34 @@ func TestCheckCtxSpan(t *testing.T) {
 		t.Errorf("mc.runs counter = %d, want 1", got)
 	}
 }
+
+// TestVisitedBytesReported: Result.VisitedBytes covers at least an edge
+// and a key byte per stored state, and the mc.bfs span and the
+// mc.visited_bytes gauge report the same figure.
+func TestVisitedBytesReported(t *testing.T) {
+	sys, client, _ := tokenSystem(t, tokenOpts{})
+	col := obs.NewCollect()
+	ctx := obs.WithTracer(context.Background(), obs.NewTracer(col))
+	reg := obs.NewRegistry()
+	ctx = obs.WithMetrics(ctx, reg)
+
+	res, err := CheckCtx(ctx, mustRuntime(t, sys), []Invariant{AtMostOne(client, "Holding")}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if min := int64(res.States * (edgeBytes + 1)); res.VisitedBytes < min {
+		t.Errorf("VisitedBytes = %d for %d states, want at least %d", res.VisitedBytes, res.States, min)
+	}
+	var attr any
+	for _, a := range col.Spans()[0].Attrs {
+		if a.Key == "visited_bytes" {
+			attr = a.Value
+		}
+	}
+	if attr != res.VisitedBytes {
+		t.Errorf("visited_bytes attr = %v, want %d", attr, res.VisitedBytes)
+	}
+	if got := reg.Gauge("mc.visited_bytes").Value(); got != res.VisitedBytes {
+		t.Errorf("mc.visited_bytes gauge = %d, want %d", got, res.VisitedBytes)
+	}
+}
