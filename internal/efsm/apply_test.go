@@ -144,3 +144,81 @@ func TestRuntimeConcurrentUse(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestSuccessorOracleBuiltins checks AppendSuccessor and Apply against
+// the reference semantics (CheckSuccessors) on every action of every
+// reachable state of the five builtins at n = 3, exploring through the
+// reference successors.
+func TestSuccessorOracleBuiltins(t *testing.T) {
+	for _, spec := range []*protocols.Spec{protocols.VI(3), protocols.MSI(3), protocols.MESI(3),
+		protocols.Origin(3, true), protocols.Origin(3, false)} {
+		if _, err := core.Complete(spec.Sys, spec.Vocab, spec.Snippets,
+			core.Options{Limits: synth.Limits{MaxSize: 12}}); err != nil {
+			t.Fatalf("%s: synthesis: %v", spec.Name, err)
+		}
+		r, err := efsm.NewRuntime(spec.Sys)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var scratch efsm.State
+		queue := []*efsm.State{r.Initial()}
+		seen := map[string]bool{r.Encode(queue[0]): true}
+		transitions := 0
+		for len(queue) > 0 {
+			st := queue[0]
+			queue = queue[1:]
+			acts, succ, err := efsm.CheckSuccessors(r, st, &scratch)
+			if err != nil {
+				t.Fatalf("%s: state %s: %v", spec.Name, r.FormatState(st), err)
+			}
+			transitions += len(acts)
+			for _, next := range succ {
+				if k := r.Encode(next); !seen[k] {
+					seen[k] = true
+					queue = append(queue, next)
+				}
+			}
+		}
+		t.Logf("%s: %d states, %d transitions", spec.Name, len(seen), transitions)
+	}
+}
+
+// TestSuccessorsAllocateNothing: with its buffers reused, enumerating a
+// state's actions and writing all of its successor vectors allocates
+// nothing, as the model checker's expansion loop does it.
+func TestSuccessorsAllocateNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool drops scratch at random")
+	}
+	r := msiRuntime(t)
+	var vecs [][]byte
+	seen := map[string]bool{}
+	for queue := []*efsm.State{r.Initial()}; len(queue) > 0 && len(vecs) < 300; queue = queue[1:] {
+		st := queue[0]
+		vecs = append(vecs, r.AppendVector(nil, st))
+		acts, _ := r.Actions(st)
+		for _, a := range acts {
+			next := r.Apply(st, a)
+			if k := r.Encode(next); !seen[k] {
+				seen[k] = true
+				queue = append(queue, next)
+			}
+		}
+	}
+	var st efsm.State
+	var acts []efsm.Action
+	var succ []byte
+	expand := func() {
+		for _, vec := range vecs {
+			r.DecodeInto(&st, vec)
+			acts, _ = r.AppendActions(acts[:0], &st)
+			for _, a := range acts {
+				succ = r.AppendSuccessor(succ[:0], vec, &st, a)
+			}
+		}
+	}
+	expand()
+	if n := testing.AllocsPerRun(5, expand); n != 0 {
+		t.Errorf("expanding %d states allocates %.0f times", len(vecs), n)
+	}
+}

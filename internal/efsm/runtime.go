@@ -62,8 +62,14 @@ type Runtime struct {
 	// instances of one definition); nets each network's.
 	procs []*procTable
 	nets  []netTable
-	// instW is the byte length of a vector's instance blocks.
-	instW int
+	// instW is the byte length of a vector's instance blocks, instOff
+	// each instance's block offset.
+	instW   int
+	instOff []int
+	// numRegs is the register-file size every compiled program fits:
+	// the most variables of a definition, Self, and the most fields of a
+	// message type.
+	numRegs int
 	// info holds the precomputed indices of every indexed transition.
 	info    map[*Transition]*transInfo
 	scratch sync.Pool
@@ -79,9 +85,11 @@ type procTable struct {
 	numEv  int
 	trigEv []int // event ordinal of each entry of Def.Triggers
 	// ctlW and varW are the key widths in bytes of the control ordinal
-	// and of each process variable.
-	ctlW int
-	varW []int
+	// and of each process variable; varOff is each variable's offset in
+	// the instance block (the control ordinal is at 0).
+	ctlW   int
+	varW   []int
+	varOff []int
 	// peers lists the definition's instances; Permute and the
 	// canonicalizer relocate replicated local states through it.
 	peers []int
@@ -89,40 +97,55 @@ type procTable struct {
 
 // netTable is a network's message layout.
 type netTable struct {
-	// fieldW is the key width of each field; recW their sum.
-	fieldW []int
-	recW   int
+	// fieldW is the key width of each field, fieldOff its offset in a
+	// message record; recW their sum.
+	fieldW   []int
+	fieldOff []int
+	recW     int
 	// slots is the number of receiver slots: one per PID for a by-field
 	// route, one otherwise.
 	slots int
 }
 
-// transInfo is a transition with its names resolved to indices.
+// transInfo is a transition with its names resolved to indices and its
+// expressions compiled over its definition's register layout: variables
+// at 0..k-1, Self at k, the received message's fields from k+1.
 type transInfo struct {
-	t      *Transition
-	to     int   // ordinal of t.To
-	upd    []int // variable index of each update
-	fields []string
-	sends  []sendInfo
+	t     *Transition
+	to    int // ordinal of t.To
+	guard expr.Prog
+	upd   []int       // variable index of each update
+	rhs   []expr.Prog // each update's right-hand side
+	sends []sendInfo
 }
 
 type sendInfo struct {
 	net    int
-	dest   int   // index of the routing field, -1 for static routes
-	fields []int // message field index of each SendField
+	dest   int         // index of the routing field, -1 for static routes
+	fields []int       // message field index of each SendField
+	rhs    []expr.Prog // each SendField's right-hand side
+	// target is the multicast's member set, when multicast is set.
+	target    expr.Prog
+	multicast bool
 }
 
 // scratch is one goroutine's reusable evaluation state.
 type scratch struct {
-	env expr.Env
-	// envInst is the instance whose variables env holds (-1: none),
-	// envDef the definition whose variable names it holds.
-	envInst int
-	envDef  *ProcDef
+	// regs is the register file; regInst is the instance whose variables
+	// and Self it holds (-1: none).
+	regs    []expr.Value
+	regInst int
+	stack   []expr.Value
 	vals    []expr.Value
-	owned   []bool
-	sort    msgSorter
+	// recs holds the records an action sends, sent where each goes.
+	recs []byte
+	sent []sentRec
+	sort msgSorter
 }
+
+// sentRec places the record at recs[off:] in receiver slot slot of
+// network net.
+type sentRec struct{ net, slot, off int }
 
 // NewRuntime validates the system and builds its instances: one per PID
 // for each replicated definition, one for each singleton.
@@ -138,13 +161,7 @@ func NewRuntime(sys *System) (*Runtime, error) {
 		info:   make(map[*Transition]*transInfo),
 	}
 	netByName := make(map[string]int, len(sys.Networks))
-	// fields shares the scope names of a network's fields among the
-	// transitions binding the same message variable.
-	type netVar struct {
-		net    int
-		msgVar string
-	}
-	fields := map[netVar][]string{}
+	maxFields := 0
 	for i, n := range sys.Networks {
 		r.netIdx[n] = i
 		netByName[n.Name] = i
@@ -156,8 +173,10 @@ func NewRuntime(sys *System) (*Runtime, error) {
 		for _, f := range n.Msg.Fields {
 			w := keyWidth(sys.U, f.T)
 			nt.fieldW = append(nt.fieldW, w)
+			nt.fieldOff = append(nt.fieldOff, nt.recW)
 			nt.recW += w
 		}
+		maxFields = max(maxFields, len(n.Msg.Fields))
 	}
 	for _, d := range sys.Defs {
 		n := 1
@@ -180,10 +199,15 @@ func NewRuntime(sys *System) (*Runtime, error) {
 		pt.ctlW = keyWidth(sys.U, expr.EnumOf(d.States))
 		blockW := pt.ctlW
 		for _, v := range d.Vars {
+			pt.varOff = append(pt.varOff, blockW)
 			pt.varW = append(pt.varW, keyWidth(sys.U, v.VT))
 			blockW += pt.varW[len(pt.varW)-1]
 		}
-		r.instW += blockW * n
+		for range n {
+			r.instOff = append(r.instOff, r.instW)
+			r.instW += blockW
+		}
+		r.numRegs = max(r.numRegs, len(d.Vars)+1+maxFields)
 		pt.trans = make([][]*transInfo, len(d.States.Values)*pt.numEv)
 		for _, t := range d.Transitions {
 			ev, ok := -1, false
@@ -195,15 +219,7 @@ func NewRuntime(sys *System) (*Runtime, error) {
 			if !ok {
 				continue // an event this definition never receives
 			}
-			var names []string
-			if !t.Event.IsTrigger() {
-				nv := netVar{ev - len(d.Triggers), t.Event.MsgVar}
-				if names = fields[nv]; names == nil {
-					names = fieldNames(sys.Networks[nv.net], nv.msgVar)
-					fields[nv] = names
-				}
-			}
-			ti := r.newTransInfo(d, t, names)
+			ti := r.newTransInfo(d, t)
 			r.info[t] = ti
 			at := d.States.Ord(t.From)*pt.numEv + ev
 			pt.trans[at] = append(pt.trans[at], ti)
@@ -237,70 +253,81 @@ func keyWidth(u *expr.Universe, t expr.Type) int {
 	return bytesFor(bits.Len(uint(u.NumCaches() - 1)))
 }
 
-// newTransInfo resolves a transition's names; fields are the scope names
-// of the received message's fields (nil for triggers).
-func (r *Runtime) newTransInfo(d *ProcDef, t *Transition, fields []string) *transInfo {
-	ti := &transInfo{t: t, to: d.States.Ord(t.To), fields: fields}
+// newTransInfo resolves a transition's names and compiles its guard,
+// update and send expressions over d's register layout.
+func (r *Runtime) newTransInfo(d *ProcDef, t *Transition) *transInfo {
+	k := len(d.Vars)
+	// slot resolves a scope name the way the scope binds it: a message
+	// field shadows Self, which shadows a process variable.
+	slot := func(name string) (int, expr.Type, bool) {
+		if net := t.Event.Net; net != nil {
+			for j := len(net.Msg.Fields) - 1; j >= 0; j-- {
+				if f := net.Msg.Fields[j]; t.Event.MsgVar+"."+f.Name == name {
+					return k + 1 + j, f.T, true
+				}
+			}
+		}
+		if name == SelfVar {
+			return k, expr.PIDType, true
+		}
+		for j := k - 1; j >= 0; j-- {
+			if d.Vars[j].Name == name {
+				return j, d.Vars[j].VT, true
+			}
+		}
+		return 0, expr.Type{}, false
+	}
+	ti := &transInfo{t: t, to: d.States.Ord(t.To)}
+	if t.Guard != nil {
+		ti.guard = expr.Compile(t.Guard, slot)
+	}
 	for _, u := range t.Updates {
 		ti.upd = append(ti.upd, d.VarIndex(u.Var))
+		ti.rhs = append(ti.rhs, expr.Compile(u.Rhs, slot))
 	}
 	for _, snd := range t.Sends {
-		si := sendInfo{net: r.netIdx[snd.Net], dest: -1}
+		si := sendInfo{net: r.netIdx[snd.Net], dest: -1, multicast: snd.TargetSet != nil}
 		if snd.Net.Route == RouteByField {
 			si.dest = snd.Net.Msg.FieldIndex(snd.Net.DestField)
 		}
 		for _, fa := range snd.Fields {
 			si.fields = append(si.fields, snd.Net.Msg.FieldIndex(fa.Field))
+			si.rhs = append(si.rhs, expr.Compile(fa.Rhs, slot))
+		}
+		if si.multicast {
+			si.target = expr.Compile(snd.TargetSet, slot)
 		}
 		ti.sends = append(ti.sends, si)
 	}
 	return ti
 }
 
-// fieldNames returns the scope names of a network's fields under msgVar.
-func fieldNames(net *Network, msgVar string) []string {
-	fields := make([]string, len(net.Msg.Fields))
-	for i, f := range net.Msg.Fields {
-		fields[i] = msgVar + "." + f.Name
-	}
-	return fields
-}
-
 func (r *Runtime) getScratch() *scratch {
 	sc, _ := r.scratch.Get().(*scratch)
 	if sc == nil {
-		sc = &scratch{env: expr.Env{}, owned: make([]bool, len(r.Sys.Networks))}
+		sc = &scratch{regs: make([]expr.Value, r.numRegs)}
 	}
-	sc.envInst = -1
-	clear(sc.owned)
+	sc.regInst = -1
 	return sc
 }
 
 func (r *Runtime) putScratch(sc *scratch) { r.scratch.Put(sc) }
 
-// procEnv binds sc.env to an instance's pre-state scope: its variables
-// and Self. Message fields are bound per candidate by bindMsg.
-func (r *Runtime) procEnv(sc *scratch, st *State, inst *Instance) expr.Env {
-	if sc.envInst == inst.Idx {
-		return sc.env
+// loadProc loads an instance's pre-state variables and Self into the
+// registers. Message fields are loaded per message by loadMsg.
+func (r *Runtime) loadProc(sc *scratch, st *State, inst *Instance) {
+	if sc.regInst == inst.Idx {
+		return
 	}
-	d := inst.Def
-	if sc.envDef != d {
-		clear(sc.env)
-		sc.envDef = d
-	}
-	for j, v := range d.Vars {
-		sc.env[v.Name] = st.Procs[inst.Idx].Vars[j]
-	}
-	sc.env[SelfVar] = expr.PIDVal(inst.PID)
-	sc.envInst = inst.Idx
-	return sc.env
+	k := copy(sc.regs[:len(inst.Def.Vars)], st.Procs[inst.Idx].Vars)
+	sc.regs[k] = expr.PIDVal(inst.PID)
+	sc.regInst = inst.Idx
 }
 
-func bindMsg(env expr.Env, fields []string, msg Msg) {
-	for j, name := range fields {
-		env[name] = msg[j]
-	}
+// loadMsg loads a received message's fields into the registers after
+// inst's variables and Self.
+func loadMsg(sc *scratch, inst *Instance, msg Msg) {
+	copy(sc.regs[len(inst.Def.Vars)+1:], msg)
 }
 
 // Initial builds the initial global state.
@@ -327,9 +354,7 @@ func (r *Runtime) Initial() *State {
 	return st
 }
 
-// Clone deep-copies a state. A State is immutable once built — Apply
-// shares the parts of its input it does not change with the successor —
-// so Clone is the way to get a state that may be modified.
+// Clone deep-copies a state.
 func (st *State) Clone() *State {
 	out := &State{
 		Procs: make([]ProcState, len(st.Procs)),
@@ -393,8 +418,15 @@ type Problem struct {
 // Actions enumerates the enabled actions of a state and any semantics
 // problems. For ordered networks only the head of each slot is
 // deliverable; for unordered networks every distinct pending message is.
+// An action's Msg shares st's storage.
 func (r *Runtime) Actions(st *State) ([]Action, []Problem) {
-	var acts []Action
+	return r.AppendActions(nil, st)
+}
+
+// AppendActions appends the enabled actions of st to dst and returns them
+// with st's semantics problems, as Actions does.
+func (r *Runtime) AppendActions(dst []Action, st *State) ([]Action, []Problem) {
+	acts := dst
 	var probs []Problem
 	sc := r.getScratch()
 	defer r.putScratch(sc)
@@ -486,6 +518,7 @@ func (r *Runtime) match(sc *scratch, st *State, inst *Instance, evOrd int, ev Ev
 	}
 	var hit *Transition
 	var catchAllDefer *Transition
+	loaded := false
 	for _, c := range cands {
 		t := c.t
 		if t.Defer && t.Guard == nil {
@@ -495,9 +528,12 @@ func (r *Runtime) match(sc *scratch, st *State, inst *Instance, evOrd int, ev Ev
 			continue
 		}
 		if t.Guard != nil {
-			env := r.procEnv(sc, st, inst)
-			bindMsg(env, c.fields, msg)
-			if !t.Guard.Eval(r.Sys.U, env).Bool() {
+			if !loaded {
+				r.loadProc(sc, st, inst)
+				loadMsg(sc, inst, msg)
+				loaded = true
+			}
+			if !c.guard.Eval(r.Sys.U, sc.regs, &sc.stack).Bool() {
 				continue
 			}
 		}
@@ -526,105 +562,142 @@ func (r *Runtime) match(sc *scratch, st *State, inst *Instance, evOrd int, ev Ev
 	return hit, nil
 }
 
-// Apply executes an action, returning the successor state. The successor
-// shares every part of st the action leaves unchanged: only the acting
-// instance's variables and the network slots it consumes from or sends
-// to are copied, so st and every other successor of st stay intact.
+// Apply executes an action, returning the successor state: st's vector
+// advanced by AppendSuccessor and decoded into a fresh State, which shares
+// no storage with st.
 func (r *Runtime) Apply(st *State, a Action) *State {
-	sc := r.getScratch()
-	defer r.putScratch(sc)
-	inst := r.Insts[a.Inst]
-	ti := r.info[a.Trans]
-	if ti == nil {
-		// A transition NewRuntime did not index (not reachable through
-		// Actions): resolve its names now.
-		var fields []string
-		if a.Net >= 0 {
-			fields = fieldNames(r.Sys.Networks[a.Net], a.Trans.Event.MsgVar)
-		}
-		ti = r.newTransInfo(inst.Def, a.Trans, fields)
-	}
-	env := r.procEnv(sc, st, inst)
-	if a.Net >= 0 {
-		bindMsg(env, ti.fields, a.Msg)
-	}
-	// Parallel assignment: evaluate all RHS in the pre-state.
-	vals := sc.vals[:0]
-	for _, u := range a.Trans.Updates {
-		vals = append(vals, u.Rhs.Eval(r.Sys.U, env))
-	}
-	sc.vals = vals
-
-	next := &State{Procs: slices.Clone(st.Procs), Nets: st.Nets}
-	ps := &next.Procs[a.Inst]
-	if len(vals) > 0 {
-		ps.Vars = slices.Clone(ps.Vars)
-		for i, v := range vals {
-			ps.Vars[ti.upd[i]] = v
-		}
-	}
-	ps.Ctl = ti.to
-
-	// own gives net n a slot array of its own in next.
-	ownedAny := false
-	own := func(n int) [][]Msg {
-		if !ownedAny {
-			next.Nets = slices.Clone(st.Nets)
-			ownedAny = true
-		}
-		if !sc.owned[n] {
-			next.Nets[n] = slices.Clone(st.Nets[n])
-			sc.owned[n] = true
-		}
-		return next.Nets[n]
-	}
-	if a.Net >= 0 {
-		// Consume the message.
-		slots := own(a.Net)
-		old := slots[a.Slot]
-		rest := make([]Msg, 0, len(old)-1)
-		slots[a.Slot] = append(append(rest, old[:a.Pos]...), old[a.Pos+1:]...)
-	}
-	// Sends: field RHS evaluate in the pre-state scope as well.
-	for k, snd := range a.Trans.Sends {
-		si := ti.sends[k]
-		msg := make(Msg, len(snd.Net.Msg.Fields))
-		for j, f := range snd.Net.Msg.Fields {
-			msg[j] = expr.ZeroOf(f.T)
-		}
-		for j, fa := range snd.Fields {
-			msg[si.fields[j]] = fa.Rhs.Eval(r.Sys.U, env)
-		}
-		slots := own(si.net)
-		if snd.TargetSet != nil {
-			// Multicast: one copy per member, routed to that member.
-			mask := snd.TargetSet.Eval(r.Sys.U, env).Set()
-			for pid := 0; pid < r.Sys.U.NumCaches(); pid++ {
-				if mask&(1<<uint(pid)) == 0 {
-					continue
-				}
-				copyMsg := slices.Clone(msg)
-				copyMsg[si.dest] = expr.PIDVal(pid)
-				slots[pid] = appendExact(slots[pid], copyMsg)
-			}
-			continue
-		}
-		slot := 0
-		if si.dest >= 0 {
-			slot = msg[si.dest].PID()
-		}
-		slots[slot] = appendExact(slots[slot], msg)
-	}
+	next := &State{}
+	r.DecodeInto(next, r.AppendSuccessor(nil, r.AppendVector(nil, st), st, a))
 	return next
 }
 
-// appendExact returns a new exact-capacity slice holding msgs and m, so
-// that successors appending to the same parent slot never share an array.
-func appendExact(msgs []Msg, m Msg) []Msg {
-	out := make([]Msg, len(msgs)+1)
-	copy(out, msgs)
-	out[len(msgs)] = m
-	return out
+// AppendSuccessor appends to dst the vector of the state that action a
+// leads to from the state whose vector is vec; st is vec decoded and a one
+// of its Actions. It builds no State: the compiled guard, update and send
+// programs read st's acting instance and a's message from a register file,
+// and the successor is vec patched in place. The instance blocks are
+// copied with the acting instance's control ordinal and updated variables
+// overwritten at their fixed offsets. The sends are evaluated, in the
+// pre-state like the updates, into fixed-width records in send order (a
+// multicast makes one copy per member, in ascending PID order, with the
+// routing field set per copy). Then every slot the action neither consumes
+// from nor sends to is copied byte for byte, and a touched slot is
+// rewritten as its new count, '|', the parent's records less the one
+// consumed at a.Pos, and the new records in send order. Keeping storage
+// order is what keeps the successor's Actions, and so the action indices
+// that traces replay, those of the decoded state.
+func (r *Runtime) AppendSuccessor(dst, vec []byte, st *State, a Action) []byte {
+	ti := r.info[a.Trans]
+	inst := r.Insts[a.Inst]
+	if ti == nil {
+		panic(fmt.Sprintf("efsm: %s: transition (%s, %s) -> %s is not indexed by this runtime",
+			inst.Name(), a.Trans.From, a.Trans.Event, a.Trans.To))
+	}
+	sc := r.getScratch()
+	defer r.putScratch(sc)
+	u := r.Sys.U
+	r.loadProc(sc, st, inst)
+	if a.Net >= 0 {
+		loadMsg(sc, inst, a.Msg)
+	}
+	// Parallel assignment: evaluate all RHS in the pre-state.
+	vals := sc.vals[:0]
+	for _, p := range ti.rhs {
+		vals = append(vals, p.Eval(u, sc.regs, &sc.stack))
+	}
+	sc.vals = vals
+	// Sends: field RHS evaluate in the pre-state scope as well; unset
+	// fields keep their zero value, whose payload is 0.
+	recs, sent := sc.recs[:0], sc.sent[:0]
+	for _, si := range ti.sends {
+		nt := &r.nets[si.net]
+		off := len(recs)
+		recs = append(recs, make([]byte, nt.recW)...)
+		slot := 0
+		for j, p := range si.rhs {
+			v := p.Eval(u, sc.regs, &sc.stack)
+			f := si.fields[j]
+			putLow(recs[off+nt.fieldOff[f]:], v.Payload(), nt.fieldW[f])
+			if f == si.dest {
+				slot = v.PID()
+			}
+		}
+		if !si.multicast {
+			sent = append(sent, sentRec{si.net, slot, off})
+			continue
+		}
+		// Multicast: one copy of the record at off per member.
+		mask := si.target.Eval(u, sc.regs, &sc.stack).Set()
+		for pid := 0; pid < u.NumCaches(); pid++ {
+			if mask&(1<<uint(pid)) == 0 {
+				continue
+			}
+			c := len(recs)
+			recs = append(recs, recs[off:off+nt.recW]...)
+			putLow(recs[c+nt.fieldOff[si.dest]:], uint64(pid), nt.fieldW[si.dest])
+			sent = append(sent, sentRec{si.net, pid, c})
+		}
+	}
+	sc.recs, sc.sent = recs, sent
+
+	base := len(dst)
+	dst = append(dst, vec[:r.instW]...)
+	b := base + r.instOff[a.Inst]
+	pt := r.procs[a.Inst]
+	putLow(dst[b:], uint64(ti.to), pt.ctlW)
+	for i, v := range vals {
+		j := ti.upd[i]
+		putLow(dst[b+pt.varOff[j]:], v.Payload(), pt.varW[j])
+	}
+
+	// Copy the slots between touched ones verbatim, from vec[from:].
+	from, pos := r.instW, r.instW
+	left := len(sent)
+	if a.Net >= 0 {
+		left++
+	}
+	for n := 0; n < len(r.nets) && left > 0; n++ {
+		nt := &r.nets[n]
+		for q := 0; q < nt.slots && left > 0; q++ {
+			cnt, k := binary.Uvarint(vec[pos:])
+			hdr, body := pos, pos+k+1
+			end := body + int(cnt)*nt.recW
+			pos = end
+			consumed := a.Net == n && a.Slot == q
+			added := 0
+			for _, s := range sent {
+				if s.net == n && s.slot == q {
+					added++
+				}
+			}
+			if !consumed && added == 0 {
+				continue
+			}
+			dst = append(dst, vec[from:hdr]...)
+			from = end
+			cnt += uint64(added)
+			if consumed {
+				cnt--
+				left--
+			}
+			left -= added
+			dst = binary.AppendUvarint(dst, cnt)
+			dst = append(dst, '|')
+			if consumed {
+				at := body + a.Pos*nt.recW
+				dst = append(dst, vec[body:at]...)
+				dst = append(dst, vec[at+nt.recW:end]...)
+			} else {
+				dst = append(dst, vec[body:end]...)
+			}
+			for _, s := range sent {
+				if s.net == n && s.slot == q {
+					dst = append(dst, recs[s.off:s.off+nt.recW]...)
+				}
+			}
+		}
+	}
+	return append(dst, vec[from:]...)
 }
 
 // Encode renders a state as its key: the state's vector (AppendVector)
@@ -728,8 +801,8 @@ func (r *Runtime) VectorKey(dst, vec []byte) []byte {
 // DecodeInto decodes a vector written by AppendVector into dst, reusing
 // dst's slices. The decoded state equals the one encoded, Ints
 // sign-extended from the universe's width. dst must share no storage with
-// a state still in use — Apply's successors share their input's — so it
-// is typically a scratch state that only DecodeInto ever fills.
+// a state still in use (an action's Msg shares its state's), so it is
+// typically a fresh state or a scratch state that only DecodeInto fills.
 func (r *Runtime) DecodeInto(dst *State, vec []byte) {
 	pos := 0
 	dst.Procs = resize(dst.Procs, len(r.Insts))
@@ -792,6 +865,14 @@ func appendValue(dst []byte, v expr.Value, w int, pi Perm) []byte {
 		x = permutePayload(v.Type().Kind, x, pi)
 	}
 	return appendLow(dst, x, w)
+}
+
+// putLow writes the low w bytes of x to b, least significant first.
+func putLow(b []byte, x uint64, w int) {
+	for i := range w {
+		b[i] = byte(x)
+		x >>= 8
+	}
 }
 
 // appendLow appends the low w bytes of x, least significant first.

@@ -241,6 +241,9 @@ func CheckCtx(ctx context.Context, r *efsm.Runtime, invs []Invariant, opts Optio
 	var repStates, repTransitions, repOrbit atomic.Int64
 	var seen *visited
 	var orbitSum int64
+	// expandDur, mergeDur and checkDur sum the wall time of phases A, B
+	// and C over all rounds.
+	var expandDur, mergeDur, checkDur time.Duration
 	defer func() {
 		res.Elapsed = time.Since(start)
 		if secs := res.Elapsed.Seconds(); secs > 0 {
@@ -262,7 +265,10 @@ func CheckCtx(ctx context.Context, r *efsm.Runtime, invs []Invariant, opts Optio
 			obs.Float("states_per_sec", res.StatesPerSec),
 			obs.Int("canonical_states", res.CanonicalStates),
 			obs.Float("reduction_factor", res.ReductionFactor),
-			obs.Int64("visited_bytes", res.VisitedBytes))
+			obs.Int64("visited_bytes", res.VisitedBytes),
+			obs.Float("expand_ms", msOf(expandDur)),
+			obs.Float("merge_ms", msOf(mergeDur)),
+			obs.Float("check_ms", msOf(checkDur)))
 		span.End()
 		if reg := obs.MetricsFrom(ctx); reg != nil {
 			reg.Counter("mc.runs").Inc()
@@ -432,12 +438,14 @@ func CheckCtx(ctx context.Context, r *efsm.Runtime, invs []Invariant, opts Optio
 		}
 
 		// Phase A — expand: workers take frontier entries by stride,
-		// decode each into their scratch state, and canonicalize every
-		// successor straight back to bytes, reading the visited shards
+		// decode each into their scratch state to enumerate its actions,
+		// write every successor's vector from the entry's vector and
+		// canonicalize it, reading the visited shards
 		// lock-free (no one writes until the merge barrier) and bucketing
 		// new candidates by shard. Frontier states with semantics problems
 		// (or, when enabled, no enabled action) are not expanded; the
 		// least frontier index — least canonical key — wins the round.
+		phase := time.Now()
 		var wg sync.WaitGroup
 		for w, wk := range wks {
 			wg.Add(1)
@@ -454,8 +462,10 @@ func CheckCtx(ctx context.Context, r *efsm.Runtime, invs []Invariant, opts Optio
 						break
 					}
 					ent := frontier[i]
-					r.DecodeInto(&wk.st, ent.vec.of(cur[ent.arena]))
-					acts, aprobs := r.Actions(&wk.st)
+					parent := ent.vec.of(cur[ent.arena])
+					r.DecodeInto(&wk.st, parent)
+					acts, aprobs := r.AppendActions(wk.acts[:0], &wk.st)
+					wk.acts = acts
 					if len(aprobs) > 0 {
 						if wk.prob == nil {
 							wk.prob = &problemAt{idx: i,
@@ -471,7 +481,7 @@ func CheckCtx(ctx context.Context, r *efsm.Runtime, invs []Invariant, opts Optio
 					}
 					wk.transitions += int64(len(acts))
 					for ai, a := range acts {
-						wk.vec = r.AppendVector(wk.vec[:0], r.Apply(&wk.st, a))
+						wk.vec = r.AppendSuccessor(wk.vec[:0], parent, &wk.st, a)
 						koff := len(arena)
 						var sigma, orbit int
 						arena, sigma, orbit = canon(wk, arena, wk.vec)
@@ -500,6 +510,7 @@ func CheckCtx(ctx context.Context, r *efsm.Runtime, invs []Invariant, opts Optio
 			}(w, wk)
 		}
 		wg.Wait()
+		expandDur += time.Since(phase)
 		for _, wk := range wks {
 			res.Transitions += int(wk.transitions)
 		}
@@ -537,6 +548,7 @@ func CheckCtx(ctx context.Context, r *efsm.Runtime, invs []Invariant, opts Optio
 		// (key, parent, action index), admits the first edge per new key,
 		// and copies the winner's vector into its own next-frontier arena.
 		// Each shard's winners come out key-sorted.
+		phase = time.Now()
 		var wgM sync.WaitGroup
 		for w, wk := range wks {
 			wgM.Add(1)
@@ -582,12 +594,14 @@ func CheckCtx(ctx context.Context, r *efsm.Runtime, invs []Invariant, opts Optio
 			next = append(next, wk.won...)
 		}
 		sortFrontier(next, seen)
+		mergeDur += time.Since(phase)
 
 		// Phase C — invariants on the accepted states, each decoded into
 		// the checking worker's scratch state (representative frame;
 		// invariants must be symmetric when reduction is on). The least
 		// accepted index with a violation wins; per state, the least
 		// invariant index.
+		phase = time.Now()
 		var vAt *violAt
 		if len(invs) > 0 && len(next) > 0 {
 			viols := make([]*violAt, workers)
@@ -614,6 +628,7 @@ func CheckCtx(ctx context.Context, r *efsm.Runtime, invs []Invariant, opts Optio
 				}
 			}
 		}
+		checkDur += time.Since(phase)
 
 		// Sequential accounting in key order: exact state counting, exact
 		// budget cut, and the violation-vs-budget precedence of the
@@ -660,9 +675,11 @@ func CheckCtx(ctx context.Context, r *efsm.Runtime, invs []Invariant, opts Optio
 
 // worker is one frontier worker's state, kept across rounds.
 type worker struct {
-	// st is the scratch state frontier vectors decode into.
-	st  efsm.State
-	enc *efsm.CanonEncoder
+	// st is the scratch state frontier vectors decode into, acts its
+	// actions.
+	st   efsm.State
+	acts []efsm.Action
+	enc  *efsm.CanonEncoder
 	// vec is the successor vector being canonicalized.
 	vec []byte
 	// buckets holds this round's candidates by shard.
@@ -688,6 +705,9 @@ func storageFull(wks []*worker, states int) error {
 	}
 	return nil
 }
+
+// msOf converts a duration to (fractional) milliseconds.
+func msOf(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 
 func shardMinMax(v *visited) (int64, int64) {
 	mn, mx := len(v[0].edges), len(v[0].edges)

@@ -3,6 +3,7 @@ package mc
 import (
 	"context"
 	"testing"
+	"time"
 
 	"transit/internal/obs"
 )
@@ -86,5 +87,38 @@ func TestVisitedBytesReported(t *testing.T) {
 	}
 	if got := reg.Gauge("mc.visited_bytes").Value(); got != res.VisitedBytes {
 		t.Errorf("mc.visited_bytes gauge = %d, want %d", got, res.VisitedBytes)
+	}
+}
+
+// TestPhaseTimesOnSpan: the mc.bfs span carries the summed wall time of
+// the expand, merge and check phases, and together they fit inside the
+// span.
+func TestPhaseTimesOnSpan(t *testing.T) {
+	sys, client, _ := tokenSystem(t, tokenOpts{})
+	col := obs.NewCollect()
+	ctx := obs.WithTracer(context.Background(), obs.NewTracer(col))
+	if _, err := CheckCtx(ctx, mustRuntime(t, sys), []Invariant{AtMostOne(client, "Holding")}, Options{Workers: 2}); err != nil {
+		t.Fatal(err)
+	}
+	span := col.Spans()[0]
+	sum := 0.0
+	for _, key := range []string{"expand_ms", "merge_ms", "check_ms"} {
+		var v any
+		for _, a := range span.Attrs {
+			if a.Key == key {
+				v = a.Value
+			}
+		}
+		ms, ok := v.(float64)
+		if !ok || ms < 0 {
+			t.Fatalf("%s attr = %v, want a non-negative float", key, v)
+		}
+		sum += ms
+	}
+	if sum == 0 {
+		t.Error("phase times are all zero")
+	}
+	if dur := float64(span.Duration) / float64(time.Millisecond); sum > dur {
+		t.Errorf("phase times sum to %.3f ms, more than the span's %.3f ms", sum, dur)
 	}
 }
