@@ -10,8 +10,8 @@
 //	                               serial vs. parallel job-engine synthesis
 //	transit-bench -smt [-n N] [-smt-out F]
 //	                               incremental sessions vs. one-shot solving
-//	transit-bench -enum [-enum-workers N] [-enum-trials T] [-enum-out F]
-//	                               sequential vs. parallel bank-reusing
+//	transit-bench -enum [-enum-trials T] [-enum-out F]
+//	                               restart-per-round vs. bank-reusing
 //	                               enumerative search
 //	transit-bench -mc [-mc-n N] [-mc-states S] [-mc-workers W] [-mc-out F]
 //	                               model-checker scaling: plain vs.
@@ -52,34 +52,32 @@ import (
 
 func main() {
 	var (
-		table2      = flag.Bool("table2", false, "regenerate Table 2")
-		table3      = flag.Bool("table3", false, "regenerate Table 3")
-		fig5        = flag.Bool("fig5", false, "regenerate Figure 5")
-		table4      = flag.Bool("table4", false, "regenerate Table 4")
-		table5      = flag.Bool("table5", false, "regenerate Table 5")
-		eng         = flag.Bool("engine", false, "compare serial vs. parallel job-engine synthesis")
-		smt         = flag.Bool("smt", false, "compare incremental SMT sessions vs. one-shot solving")
-		enum        = flag.Bool("enum", false, "compare sequential vs. tier-parallel bank-reusing enumeration")
-		all         = flag.Bool("all", false, "regenerate everything (short variants)")
-		long        = flag.Bool("long", false, "include long-running rows (Table 3 max-of-three; larger Figure 5 trials)")
-		n           = flag.Int("n", 3, "cache count for Tables 4 and 5 and the engine/SMT comparisons")
-		workers     = flag.Int("workers", runtime.NumCPU(), "parallel worker count for -engine and -smt")
-		out         = flag.String("out", "BENCH_engine.json", "JSON artifact path for -engine (empty = none)")
-		smtOut      = flag.String("smt-out", "BENCH_smt.json", "JSON artifact path for -smt (empty = none)")
-		enumWorkers = flag.Int("enum-workers", 4, "tier worker count for -enum")
-		enumTrials  = flag.Int("enum-trials", 3, "timing trials per mode for -enum (minimum is reported)")
-		enumOut     = flag.String("enum-out", "BENCH_enum.json", "JSON artifact path for -enum (empty = none)")
-		portfolio   = flag.Int("portfolio", 2, "configuration-race width for the -enum portfolio column (0/1 = omit it)")
-		mcBench     = flag.Bool("mc", false, "compare plain vs. symmetry-reduced model checking at scale")
-		mcN         = flag.Int("mc-n", 6, "cache count for -mc")
-		mcStates    = flag.Int("mc-states", 1_000_000, "state budget per -mc checker run")
-		mcWorkers   = flag.Int("mc-workers", runtime.NumCPU(), "frontier worker count for the model checker (-table4, -table5, -mc)")
-		noSymmetry  = flag.Bool("no-symmetry", false, "disable PID-symmetry reduction in -table4/-table5 model checking (-mc always compares both modes)")
-		mcOut       = flag.String("mc-out", "BENCH_mc.json", "JSON artifact path for -mc (empty = none)")
-		serveURL    = flag.String("serve-url", "", "client mode: load-test a running `transit serve` at this URL (e.g. http://localhost:7878)")
-		clients     = flag.Int("clients", 4, "concurrent clients for -serve-url")
-		serveReqs   = flag.Int("serve-requests", 8, "distinct solve requests per pass for -serve-url")
-		serveOut    = flag.String("serve-out", "BENCH_serve.json", "JSON artifact path for -serve-url (empty = none)")
+		table2     = flag.Bool("table2", false, "regenerate Table 2")
+		table3     = flag.Bool("table3", false, "regenerate Table 3")
+		fig5       = flag.Bool("fig5", false, "regenerate Figure 5")
+		table4     = flag.Bool("table4", false, "regenerate Table 4")
+		table5     = flag.Bool("table5", false, "regenerate Table 5")
+		eng        = flag.Bool("engine", false, "compare serial vs. parallel job-engine synthesis")
+		smt        = flag.Bool("smt", false, "compare incremental SMT sessions vs. one-shot solving")
+		enum       = flag.Bool("enum", false, "compare restart-per-round vs. bank-reusing enumeration")
+		all        = flag.Bool("all", false, "regenerate everything (short variants)")
+		long       = flag.Bool("long", false, "include long-running rows (Table 3 max-of-three; larger Figure 5 trials)")
+		n          = flag.Int("n", 3, "cache count for Tables 4 and 5 and the engine/SMT comparisons")
+		workers    = flag.Int("workers", runtime.NumCPU(), "parallel worker count for -engine and -smt")
+		out        = flag.String("out", "BENCH_engine.json", "JSON artifact path for -engine (empty = none)")
+		smtOut     = flag.String("smt-out", "BENCH_smt.json", "JSON artifact path for -smt (empty = none)")
+		enumTrials = flag.Int("enum-trials", 3, "timing trials per mode for -enum (minimum is reported)")
+		enumOut    = flag.String("enum-out", "BENCH_enum.json", "JSON artifact path for -enum (empty = none)")
+		mcBench    = flag.Bool("mc", false, "compare plain vs. symmetry-reduced model checking at scale")
+		mcN        = flag.Int("mc-n", 6, "cache count for -mc")
+		mcStates   = flag.Int("mc-states", 1_000_000, "state budget per -mc checker run")
+		mcWorkers  = flag.Int("mc-workers", runtime.NumCPU(), "frontier worker count for the model checker (-table4, -table5, -mc)")
+		noSymmetry = flag.Bool("no-symmetry", false, "disable PID-symmetry reduction in -table4/-table5 model checking (-mc always compares both modes)")
+		mcOut      = flag.String("mc-out", "BENCH_mc.json", "JSON artifact path for -mc (empty = none)")
+		serveURL   = flag.String("serve-url", "", "client mode: load-test a running `transit serve` at this URL (e.g. http://localhost:7878)")
+		clients    = flag.Int("clients", 4, "concurrent clients for -serve-url")
+		serveReqs  = flag.Int("serve-requests", 8, "distinct solve requests per pass for -serve-url")
+		serveOut   = flag.String("serve-out", "BENCH_serve.json", "JSON artifact path for -serve-url (empty = none)")
 
 		tracePath    = flag.String("trace", "", "write a Chrome trace-event JSON file (view at ui.perfetto.dev)")
 		statsSummary = flag.Bool("stats-summary", false, "print an end-of-run span tree and metrics table to stderr")
@@ -91,10 +89,6 @@ func main() {
 	flag.StringVar(&profiling.MemProfile, "memprofile", "", "write a heap profile to this file at exit")
 	flag.StringVar(&profiling.PprofAddr, "pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
 	flag.Parse()
-	if runtime.GOMAXPROCS(0) == 1 {
-		fmt.Fprintf(os.Stderr, "transit-bench: warning: GOMAXPROCS=1 (NumCPU=%d): worker fan-outs timeshare one CPU, so parallel and portfolio speedups measure algorithmic savings only\n",
-			runtime.NumCPU())
-	}
 	if !*table2 && !*table3 && !*fig5 && !*table4 && !*table5 && !*eng && !*smt && !*enum && !*mcBench && !*all && *serveURL == "" {
 		flag.Usage()
 		os.Exit(2)
@@ -200,7 +194,7 @@ func main() {
 		}
 	}
 	if *enum {
-		res, err := bench.EnumBenchCtx(ctx, *enumWorkers, *enumTrials, *portfolio)
+		res, err := bench.EnumBenchCtx(ctx, *enumTrials)
 		fail(err)
 		fmt.Println(bench.FormatEnum(res))
 		if *enumOut != "" {

@@ -16,7 +16,7 @@
 // Usage:
 //
 //	transit-infer [-max-size K] [-timeout D] [-no-incremental]
-//	              [-enum-workers N] [-cegis-trace] [-stats]
+//	              [-cegis-trace] [-stats]
 //	              [-trace out.json] [-stats-summary]
 //	              [-serve ADDR] [-flight F]
 //	              [-cpuprofile F] [-memprofile F] [-pprof ADDR] file
@@ -39,7 +39,6 @@ import (
 	"time"
 
 	"transit"
-	"transit/internal/engine"
 	"transit/internal/expr"
 	"transit/internal/lang"
 	"transit/internal/obs"
@@ -49,8 +48,6 @@ import (
 // inferOptions is the CLI configuration for one inference run.
 type inferOptions struct {
 	maxSize      int
-	enumWorkers  int
-	portfolio    int
 	noIncr       bool
 	timeout      time.Duration
 	cegisTrace   bool
@@ -66,8 +63,6 @@ func main() {
 	var opts inferOptions
 	flag.IntVar(&opts.maxSize, "max-size", 14, "expression-size bound")
 	flag.BoolVar(&opts.noIncr, "no-incremental", false, "disable the incremental SMT session (one solver per query; identical output)")
-	flag.IntVar(&opts.enumWorkers, "enum-workers", 1, "tier-parallel enumeration fan-out (1 = sequential; identical output)")
-	flag.IntVar(&opts.portfolio, "portfolio", 0, "race this many solver configurations, keeping the first to finish (0/1 = off)")
 	flag.BoolVar(&opts.cegisTrace, "cegis-trace", false, "print the CEGIS trace (Table 2 style)")
 	flag.DurationVar(&opts.timeout, "timeout", 0, "inference deadline, e.g. 30s (0 = none)")
 	flag.BoolVar(&opts.stats, "stats", false, "stream statistics and trace spans as JSON lines to stderr")
@@ -315,24 +310,8 @@ func run(src string, opts inferOptions) error {
 		ctx, cancel = context.WithTimeout(ctx, opts.timeout)
 		defer cancel()
 	}
-	lim := transit.Limits{MaxSize: opts.maxSize, NoIncremental: opts.noIncr,
-		EnumWorkers: opts.enumWorkers, Portfolio: opts.portfolio}
-	var e transit.Expr
-	var st transit.SynthStats
-	if opts.portfolio > 1 {
-		// The portfolio race lives in the engine, one layer above the raw
-		// solver; a throwaway engine with memoization off runs exactly one
-		// raced solve.
-		eng := engine.New(engine.Config{})
-		var out engine.SolveOutcome
-		e, st, out, err = eng.SolveConcolic(ctx, engine.SolveSpec{
-			Problem: prob, Examples: examples, Limits: lim})
-		if err == nil && out.Portfolio != "" {
-			fmt.Fprintf(os.Stderr, "transit-infer: portfolio winner: %s\n", out.Portfolio)
-		}
-	} else {
-		e, st, err = transit.SolveConcolicCtx(ctx, prob, examples, lim)
-	}
+	lim := transit.Limits{MaxSize: opts.maxSize, NoIncremental: opts.noIncr}
+	e, st, err := transit.SolveConcolicCtx(ctx, prob, examples, lim)
 	if err != nil {
 		if path, derr := sess.DumpFlight(err.Error()); derr == nil && path != "" {
 			fmt.Fprintf(os.Stderr, "transit-infer: flight dump written to %s\n", path)

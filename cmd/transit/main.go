@@ -16,8 +16,6 @@
 //	-deadlock       also report deadlocks (default true)
 //	-dump           print every completed transition
 //	-workers N      inference worker pool size (default 1 = sequential)
-//	-enum-workers N tier-parallel enumeration fan-out inside each inference
-//	                job (default 1 = sequential; identical output)
 //	-no-incremental solve every SMT query in a fresh solver instead of the
 //	                shared incremental sessions (identical output; slower)
 //	-timeout D      overall synthesis deadline, e.g. 30s (default none)
@@ -106,8 +104,6 @@ func main() {
 	flag.StringVar(&opts.murphiOut, "murphi", "", "write the completed protocol as a Murphi model to this file")
 	flag.StringVar(&opts.builtin, "builtin", "", "run a built-in protocol: vi, msi, mesi, origin, origin-buggy")
 	flag.IntVar(&opts.workers, "workers", 1, "inference worker pool size (1 = sequential)")
-	flag.IntVar(&opts.enumWorkers, "enum-workers", 1, "tier-parallel enumeration fan-out per inference job (1 = sequential; identical output)")
-	flag.IntVar(&opts.portfolio, "portfolio", 0, "race this many solver configurations per inference job, keeping the first to finish (0/1 = off)")
 	flag.BoolVar(&opts.noIncr, "no-incremental", false, "disable shared incremental SMT sessions (one solver per query; identical output)")
 	flag.DurationVar(&opts.timeout, "timeout", 0, "overall synthesis deadline (0 = none)")
 	flag.BoolVar(&opts.stats, "stats", false, "stream engine telemetry and trace spans as JSON lines to stderr")
@@ -145,8 +141,6 @@ type options struct {
 	builtin      string
 	murphiOut    string
 	workers      int
-	enumWorkers  int
-	portfolio    int
 	noIncr       bool
 	timeout      time.Duration
 	stats        bool
@@ -283,8 +277,6 @@ func run(opts options) (int, error) {
 	sopts := transit.SynthesisOptions{
 		Limits:        transit.Limits{MaxSize: opts.maxSize},
 		Workers:       opts.workers,
-		EnumWorkers:   opts.enumWorkers,
-		Portfolio:     opts.portfolio,
 		Timeout:       opts.timeout,
 		NoIncremental: opts.noIncr,
 	}

@@ -36,8 +36,6 @@ func runServe(args []string) error {
 	rate := fs.Float64("rate", 0, "per-client rate limit in requests/sec (0 = unlimited)")
 	burst := fs.Int("burst", 0, "rate-limit burst size (0 = max(1, ceil(rate)))")
 	workers := fs.Int("workers", runtime.NumCPU(), "inference worker pool size inside each completion job")
-	enumWorkers := fs.Int("enum-workers", 1, "tier-parallel enumeration fan-out per inference job")
-	portfolio := fs.Int("portfolio", 0, "race this many solver configurations per inference job (0/1 = off; jobs may override)")
 	jobTimeout := fs.Duration("job-timeout", 10*time.Minute, "per-job deadline (0 = none)")
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for in-flight jobs before canceling them")
 	flightPath := fs.String("flight", "", "flight-recorder dump path (default transit-flight-<pid>.ndjson)")
@@ -117,8 +115,6 @@ func runServe(args []string) error {
 		Burst:       *burst,
 		JobTimeout:  *jobTimeout,
 		Workers:     *workers,
-		EnumWorkers: *enumWorkers,
-		Portfolio:   *portfolio,
 		Metrics:     sess.Metrics,
 		BaseContext: sess.Context(context.Background()),
 		NoTrace:     *noTrace,

@@ -12,10 +12,10 @@ const oldArtifact = `{
   "geomean_speedup": 2.0,
   "rows": [
     {"name": "max2", "found": true,
-     "sequential": {"time_ms": 100.0, "enumerated": 500},
-     "portfolio":  {"time_ms": 40.0}},
+     "restart": {"time_ms": 100.0, "enumerated": 500},
+     "bank":    {"time_ms": 40.0}},
     {"name": "guarded", "found": true,
-     "sequential": {"time_ms": 10.0}}
+     "restart": {"time_ms": 10.0}}
   ]
 }`
 
@@ -25,12 +25,12 @@ const newArtifact = `{
   "geomean_speedup": 2.1,
   "rows": [
     {"name": "guarded", "found": true,
-     "sequential": {"time_ms": 20.0}},
+     "restart": {"time_ms": 20.0}},
     {"name": "max2", "found": true,
-     "sequential": {"time_ms": 50.0, "enumerated": 480},
-     "portfolio":  {"time_ms": 40.0}},
+     "restart": {"time_ms": 50.0, "enumerated": 480},
+     "bank":    {"time_ms": 40.0}},
     {"name": "fresh-row",
-     "sequential": {"time_ms": 5.0}}
+     "restart": {"time_ms": 5.0}}
   ]
 }`
 
@@ -50,9 +50,9 @@ func TestDiffArtifacts(t *testing.T) {
 		ratios[r.Path] = r.Ratio
 	}
 	want := map[string]float64{
-		"rows[max2].sequential.time_ms":    0.5,
-		"rows[max2].portfolio.time_ms":     1.0,
-		"rows[guarded].sequential.time_ms": 2.0,
+		"rows[max2].restart.time_ms":    0.5,
+		"rows[max2].bank.time_ms":       1.0,
+		"rows[guarded].restart.time_ms": 2.0,
 	}
 	if len(ratios) != len(want) {
 		t.Fatalf("rows: %+v", d.Rows)
@@ -70,7 +70,7 @@ func TestDiffArtifacts(t *testing.T) {
 	if len(d.OldOnly) != 0 {
 		t.Fatalf("old-only: %v", d.OldOnly)
 	}
-	if len(d.NewOnly) != 1 || d.NewOnly[0] != "rows[fresh-row].sequential.time_ms" {
+	if len(d.NewOnly) != 1 || d.NewOnly[0] != "rows[fresh-row].restart.time_ms" {
 		t.Fatalf("new-only: %v", d.NewOnly)
 	}
 }
@@ -84,12 +84,12 @@ func TestDiffRejectsDifferentBenchmarks(t *testing.T) {
 
 func TestDiffRegressionGate(t *testing.T) {
 	slow := strings.ReplaceAll(oldArtifact, "100.0", "130.0")
-	slow = strings.ReplaceAll(slow, `"sequential": {"time_ms": 10.0}`, `"sequential": {"time_ms": 13.0}`)
+	slow = strings.ReplaceAll(slow, `"restart": {"time_ms": 10.0}`, `"restart": {"time_ms": 13.0}`)
 	d, err := DiffArtifacts([]byte(oldArtifact), []byte(slow))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Every timing is 30% slower except the untouched portfolio leaf;
+	// Every timing is 30% slower except the untouched bank leaf;
 	// geomean(1.3, 1.0, 1.3) ≈ 1.19.
 	if d.Geomean < 1.15 || d.Geomean > 1.25 {
 		t.Fatalf("geomean = %v", d.Geomean)
@@ -116,10 +116,10 @@ func TestDiffFormat(t *testing.T) {
 	out := sb.String()
 	for _, want := range []string{
 		"bench-diff: enum (3 timing rows)",
-		"rows[max2].sequential.time_ms",
+		"rows[max2].restart.time_ms",
 		"-50.0%",
 		"+100.0%",
-		"rows[fresh-row].sequential.time_ms: only in new artifact",
+		"rows[fresh-row].restart.time_ms: only in new artifact",
 		"geomean: 1.0000x",
 	} {
 		if !strings.Contains(out, want) {

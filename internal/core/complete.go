@@ -51,16 +51,6 @@ type Options struct {
 	// byte for byte; larger values run independent jobs concurrently
 	// (the inferred expressions are identical at every worker count).
 	Workers int
-	// EnumWorkers sizes the tier-parallel enumeration fan-out inside each
-	// inference job (values <= 1 mean sequential tiers). It multiplies
-	// with Workers, and — like Workers — never changes inferred
-	// expressions, only wall-clock time. Jobs whose Limits set their own
-	// EnumWorkers keep it.
-	EnumWorkers int
-	// Portfolio races this many solver configurations per cache-miss
-	// inference job (engine.Config.Portfolio); values <= 1 disable racing.
-	// Jobs whose Limits set their own Portfolio keep it.
-	Portfolio int
 	// Timeout bounds the whole completion run; 0 means none.
 	Timeout time.Duration
 	// JobTimeout bounds each individual inference job; 0 means none.
@@ -168,14 +158,12 @@ func CompleteCtx(ctx context.Context, sys *efsm.System, vocab *expr.Vocabulary, 
 		cache = engine.NewCache()
 	}
 	eng := engine.New(engine.Config{
-		Workers:     opts.Workers,
-		EnumWorkers: opts.EnumWorkers,
-		Portfolio:   opts.Portfolio,
-		Timeout:     opts.Timeout,
-		JobTimeout:  opts.JobTimeout,
-		Retry:       opts.Retry,
-		Cache:       cache,
-		Sink:        opts.Telemetry,
+		Workers:    opts.Workers,
+		Timeout:    opts.Timeout,
+		JobTimeout: opts.JobTimeout,
+		Retry:      opts.Retry,
+		Cache:      cache,
+		Sink:       opts.Telemetry,
 	})
 	p := &planner{sys: sys, vocab: vocab, opts: opts, eng: eng}
 	for _, name := range defOrder {

@@ -91,7 +91,6 @@ func recordProvenance(rec *provenance.Recorder, p *planner) {
 			h.Examples = append(h.Examples, er)
 		}
 		h.Iterations = provenance.TraceIterations(cap.stats.Trace)
-		h.Portfolio = cap.out.Portfolio
 		switch {
 		case cap.err != nil:
 			switch {

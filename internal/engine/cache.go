@@ -36,10 +36,9 @@ type SolveSpec struct {
 // variable, the concolic examples (pre ⇒ post in canonical String form),
 // and the limits after default resolution (so Limits{} and the explicit
 // defaults share an entry). Only the answer-affecting limits participate:
-// Limits.EnumWorkers, Limits.NoBankReuse, Limits.NoInterpReduction, and
-// Limits.Portfolio — like Limits.NoIncremental — steer how the search
-// runs, not what it returns (the tier merge, the restart fallback, the
-// interpretation-reduction partition, and the portfolio race are
+// Limits.NoBankReuse and Limits.NoInterpReduction — like
+// Limits.NoIncremental — steer how the search runs, not what it returns
+// (the restart fallback and the interpretation-reduction partition are
 // output-identical by construction; DESIGN.md §10 and §15), so they are
 // deliberately excluded.
 func (s SolveSpec) Key() string {

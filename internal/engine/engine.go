@@ -95,20 +95,6 @@ type Config struct {
 	// Workers is the pool size; values <= 0 mean 1. Workers == 1
 	// reproduces sequential plan-order execution exactly.
 	Workers int
-	// EnumWorkers is the per-solve tier-parallel enumeration fan-out
-	// (synth.Limits.EnumWorkers), applied to specs that leave it unset.
-	// Values <= 0 mean 1 (sequential tiers). The two pools multiply —
-	// Workers jobs may each run EnumWorkers enumeration goroutines — so
-	// callers sharing a machine budget should split it between them.
-	// Enumeration results are worker-count-invariant, so this never
-	// affects answers or the memoization key.
-	EnumWorkers int
-	// Portfolio races this many solver configurations per cache-miss solve
-	// (see SolveConcolic), applied to specs whose Limits leave it unset.
-	// Values <= 1 disable racing. Like EnumWorkers it is an execution
-	// strategy, not part of the problem, and is excluded from the
-	// memoization key.
-	Portfolio int
 	// Timeout bounds a whole Run; 0 means none.
 	Timeout time.Duration
 	// JobTimeout bounds each individual job; 0 means none.

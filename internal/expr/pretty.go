@@ -52,7 +52,10 @@ func prettyApply(a *Apply, parent int) string {
 		if inner, ok := a.Args[0].(*Apply); ok && inner.Fn.Name == "equals" {
 			return wrap(precCmp, pretty(inner.Args[0], precCmp+1)+" != "+pretty(inner.Args[1], precCmp+1))
 		}
-		return wrap(precNot, "!"+pretty(a.Args[0], precNot+1))
+		// The parser's ! binds tighter than every infix operator, so any
+		// operand that is not an atom needs parentheses: !a > b parses as
+		// (!a) > b.
+		return wrap(precNot, "!"+pretty(a.Args[0], precAtom))
 	case "equals":
 		return wrap(precCmp, pretty(a.Args[0], precCmp+1)+" = "+pretty(a.Args[1], precCmp+1))
 	case "gt":

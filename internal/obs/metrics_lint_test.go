@@ -23,8 +23,8 @@ import (
 //     drift from the implementation in either direction.
 //
 // Dynamic families (a registered prefix ending in "." completed at run
-// time, e.g. `engine.portfolio.win.` + config) are matched against
-// table rows that extend the prefix.
+// time, e.g. `pkg.family.` + label) are matched against table rows that
+// extend the prefix.
 func TestMetricNameRegistry(t *testing.T) {
 	root := filepath.Join("..", "..")
 

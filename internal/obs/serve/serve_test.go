@@ -252,7 +252,7 @@ func TestPprofMounted(t *testing.T) {
 }
 
 // TestBroadcastConcurrent is the race-mode stress: concurrent span
-// closes (the EnumWorkers shape) against subscribers that come and go,
+// closes (the worker-pool shape) against subscribers that come and go,
 // including slow ones that force the drop path.
 func TestBroadcastConcurrent(t *testing.T) {
 	b := NewBroadcast()

@@ -195,7 +195,7 @@ func TestRecorderMetricsTrailer(t *testing.T) {
 }
 
 // TestRecorderConcurrent hammers the ring from many goroutines (the
-// EnumWorkers shape: concurrent span closes) while dumps run, under the
+// worker-pool shape: concurrent span closes) while dumps run, under the
 // race detector.
 func TestRecorderConcurrent(t *testing.T) {
 	rec := NewRecorder(64)

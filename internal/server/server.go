@@ -54,14 +54,10 @@ type Config struct {
 	Burst int
 	// JobTimeout bounds each job's run; 0 means none.
 	JobTimeout time.Duration
-	// Workers, EnumWorkers, and Portfolio are passed to jobs (the core
-	// worker pool, the per-job enumeration fan-out, and the per-solve
-	// configuration race width). They are execution details: excluded
-	// from dedup keys, invisible in results. A request's own portfolio
-	// field overrides Portfolio for that job.
-	Workers     int
-	EnumWorkers int
-	Portfolio   int
+	// Workers sizes the core worker pool inside each completion job. It
+	// is an execution detail: excluded from dedup keys, invisible in
+	// results.
+	Workers int
 	// Metrics, when non-nil, receives the server counters (submissions,
 	// dedup hits, rejections, cache hits), the queue-depth and worker
 	// gauges, and the queue-wait/service-time histograms.

@@ -67,11 +67,6 @@ type SolveRequest struct {
 	MaxSize  int   `json:"max_size,omitempty"`
 	MaxIters int   `json:"max_iters,omitempty"`
 	MaxExprs int64 `json:"max_exprs,omitempty"`
-	// Portfolio races this many solver configurations for this job,
-	// keeping the first to finish (0 = server default, 1 = off). An
-	// execution detail: excluded from the dedup key and the memo key,
-	// invisible in the result.
-	Portfolio int `json:"portfolio,omitempty"`
 }
 
 // SolveStats is the deterministic subset of the solver's work counters:
@@ -268,10 +263,9 @@ func buildSolveSpec(req *SolveRequest) (engine.SolveSpec, error) {
 		Problem:  synth.Problem{U: u, Vocab: voc, Vars: vars, Output: out},
 		Examples: examples,
 		Limits: synth.Limits{
-			MaxSize:   req.MaxSize,
-			MaxIters:  req.MaxIters,
-			MaxExprs:  req.MaxExprs,
-			Portfolio: req.Portfolio,
+			MaxSize:  req.MaxSize,
+			MaxIters: req.MaxIters,
+			MaxExprs: req.MaxExprs,
 		},
 	}, nil
 }
@@ -280,10 +274,8 @@ func buildSolveSpec(req *SolveRequest) (engine.SolveSpec, error) {
 func (s *Server) runSolve(ctx context.Context, j *job, spec engine.SolveSpec) (json.RawMessage, jobCache, error) {
 	sink := j.telemetrySink()
 	eng := engine.New(engine.Config{
-		Cache:       s.cache,
-		EnumWorkers: s.cfg.EnumWorkers,
-		Portfolio:   s.cfg.Portfolio,
-		Sink:        sink,
+		Cache: s.cache,
+		Sink:  sink,
 	})
 	// Direct SolveConcolic calls sit below the engine's job-DAG telemetry,
 	// so bracket the solve with the same event shapes Run emits.
@@ -364,7 +356,6 @@ func solveProvenance(spec engine.SolveSpec, res expr.Expr, st synth.Stats, out e
 	h.Iterations = provenance.TraceIterations(st.Trace)
 	h.Status = provenance.StatusSolved
 	h.Result = res.String()
-	h.Portfolio = out.Portfolio
 	provenance.ComputeWitnesses(h)
 	return h
 }
@@ -411,12 +402,10 @@ func (s *Server) runComplete(ctx context.Context, j *job, proto *lang.Protocol, 
 	rec := provenance.NewRecorder(proto.Name)
 	ctx = provenance.WithRecorder(ctx, rec)
 	rep, err := core.CompleteCtx(ctx, proto.Sys, proto.Vocab, proto.Snippets, core.Options{
-		Limits:      synth.Limits{MaxSize: req.MaxSize},
-		Workers:     s.cfg.Workers,
-		EnumWorkers: s.cfg.EnumWorkers,
-		Portfolio:   s.cfg.Portfolio,
-		Cache:       s.cache,
-		Telemetry:   j.telemetrySink(),
+		Limits:    synth.Limits{MaxSize: req.MaxSize},
+		Workers:   s.cfg.Workers,
+		Cache:     s.cache,
+		Telemetry: j.telemetrySink(),
 	})
 	if err != nil {
 		return nil, jobCache{}, err

@@ -3,7 +3,6 @@ package synth
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"time"
 
 	"transit/internal/expr"
@@ -26,11 +25,6 @@ func SolveConcrete(p Problem, examples []ConcreteExample, limits Limits) (expr.E
 // polls the context and aborts with its error once it is cancelled or its
 // deadline passes. The search runs under a "synth.enumerate" span with one
 // "synth.size" child per size tier entered.
-//
-// With Limits.EnumWorkers > 1 each size tier's composition work is
-// partitioned across that many goroutines and merged deterministically, so
-// the returned expression and every ConcreteStats counter are identical to
-// the sequential run (see DESIGN.md §10).
 func SolveConcreteCtx(ctx context.Context, p Problem, examples []ConcreteExample, limits Limits) (expr.Expr, ConcreteStats, error) {
 	e, stats, _, err := solveConcrete(ctx, p, examples, limits, nil, false)
 	return e, stats, err
@@ -75,8 +69,7 @@ func solveConcrete(ctx context.Context, p Problem, examples []ConcreteExample, l
 	}
 	ctx, span := obs.Start(ctx, "synth.enumerate",
 		obs.Int("examples", len(examples)), obs.Int("max_size", limits.MaxSize),
-		obs.Int("workers", enumWorkers(limits)), obs.Bool("resumed", resume),
-		obs.Bool("bank_stale", stale))
+		obs.Bool("resumed", resume), obs.Bool("bank_stale", stale))
 	if reg := obs.MetricsFrom(ctx); reg != nil {
 		if resume {
 			reg.Counter("synth.bank_reused").Inc()
@@ -141,24 +134,6 @@ func solveConcrete(ctx context.Context, p Problem, examples []ConcreteExample, l
 	return res, stats, nbk, err
 }
 
-// enumWorkers resolves the effective tier worker count: NoPrune retains
-// every candidate (no signature table to merge against), so the
-// exhaustive baseline always runs sequentially. The count is additionally
-// clamped to GOMAXPROCS — workers beyond available parallelism can only
-// timeshare a core, paying goroutine and per-worker-table overhead for no
-// throughput — and the clamp is invisible in results: any worker count
-// returns the same expression and the same ConcreteStats through the
-// deterministic merge (DESIGN.md §10), so only wall-clock time changes.
-func enumWorkers(l Limits) int {
-	if l.NoPrune || l.EnumWorkers < 1 {
-		return 1
-	}
-	if p := runtime.GOMAXPROCS(0); l.EnumWorkers > p {
-		return p
-	}
-	return l.EnumWorkers
-}
-
 // interpReduced reports whether interpretation-indexed pruning is active:
 // it layers on the signature table, so NoPrune disables it along with the
 // table itself.
@@ -167,10 +142,9 @@ func interpReduced(l Limits) bool { return !l.NoPrune && !l.NoInterpReduction }
 // interpProbes builds the deterministic probe interpretations the shadow
 // store indexes full signatures by (and the unrealizability atlas seeds
 // its class enumeration with). The set is fixed by the problem alone —
-// (universe, input variables) — so every round of one CEGIS solve, and
-// every configuration racing in a portfolio, keys shadow classes by the
-// same probe prefix, which is what lets a bank carry shadows across
-// rounds.
+// (universe, input variables) — so every round of one CEGIS solve keys
+// shadow classes by the same probe prefix, which is what lets a bank carry
+// shadows across rounds.
 //
 // The probes are chosen where CEGIS concretizations actually land: the
 // saturated corner (every variable at its domain maximum — the corner the
@@ -256,15 +230,11 @@ const maxAlts = 96
 // key is the example signature key (same layout as pool keys), so
 // extension is one evaluation and one fixed-width append per new
 // concretization, like pool entries; psig holds the probe coordinates
-// that distinguished the shadow within its example class. size/idx are
-// the candidate's tier coordinates; the parallel merge orders shadow
-// events by them so the stored set is identical at every worker count.
+// that distinguished the shadow within its example class.
 type shadowEntry struct {
 	e    expr.Expr
 	key  []byte
 	psig []expr.Value
-	size int
-	idx  int64
 }
 
 // maxShadows bounds the shadow store per solve. Beyond it, new
@@ -292,7 +262,6 @@ type enumerator struct {
 	limits   Limits
 	start    time.Time
 	stats    ConcreteStats
-	workers  int
 
 	// perSize[s][t] holds retained entries of size s and type t, in
 	// canonical enumeration order. sigSeen is the pruning table: one key
@@ -323,15 +292,12 @@ type enumerator struct {
 	// each example class's probe coordinate chunks live in sigSeen's
 	// values — the full (probe + example) signature set, without ever
 	// materializing full keys. shadows holds the probe-distinct duplicates
-	// themselves, and candIdx tracks the tier-local index of the candidate
-	// being considered so shadows carry their stream coordinates. probeBuf
-	// is reusable scratch, keeping the duplicate path allocation-free, and
-	// doubles as the "tracking active" flag. All nil/unused when reduction
-	// is off or no bank will consume them.
+	// themselves. probeBuf is reusable scratch, keeping the duplicate path
+	// allocation-free, and doubles as the "tracking active" flag. All
+	// nil/unused when reduction is off or no bank will consume them.
 	shadowProbes []expr.Env
 	shadows      []shadowEntry
 	probeBuf     []expr.Value
-	candIdx      int64
 	// trackTier is set per size tier: shadow tracking is active and the
 	// tier is within shadowTrackMaxSize.
 	trackTier bool
@@ -377,7 +343,7 @@ type enumerator struct {
 
 func newEnumerator(ctx context.Context, p Problem, examples []ConcreteExample, limits Limits) *enumerator {
 	en := &enumerator{ctx: ctx, p: p, examples: examples, limits: limits,
-		start: time.Now(), workers: enumWorkers(limits)}
+		start: time.Now()}
 	// Shadow tracking rides on the signature table and only pays off when
 	// a later round can consult the shadows, i.e. when a bank will be
 	// built. A zero-example round has a degenerate partition (one class
@@ -473,12 +439,6 @@ func (en *enumerator) run() (expr.Expr, error) {
 	return nil, fmt.Errorf("%w (size <= %d, %d candidates)", ErrNoExpression, maxSize, en.stats.Enumerated)
 }
 
-// minParallelTier is the smallest remaining tier workload worth fanning
-// out; below it goroutine startup and merge overhead dominate. The
-// sequential and parallel paths are output-identical, so the threshold
-// only affects wall-clock time.
-const minParallelTier = 2048
-
 // runSize enumerates one size tier under its own "synth.size" span, so a
 // trace shows where enumeration time concentrates as tiers grow. skip is
 // the number of leading tier-local candidates already consumed by the
@@ -494,34 +454,22 @@ func (en *enumerator) runSize(size int, skip int64) (found expr.Expr, err error)
 		span.Mark("synth.tier", obs.Int("size", size),
 			obs.Int64("skip", skip), obs.Int64("enumerated", before))
 	}
-	workersUsed := 1
 	defer func() {
 		span.SetAttr(obs.Int64("enumerated", en.stats.Enumerated-before),
-			obs.Int("workers", workersUsed),
 			obs.Bool("found", found != nil))
 		span.End()
 		if reg := obs.MetricsFrom(en.ctx); reg != nil {
-			reg.Counter("synth.tier_workers").Add(int64(workersUsed))
 			reg.Histogram("synth.tier_ms").Observe(time.Since(tierStart))
 		}
 	}()
 	if size == 1 {
 		return en.runAtoms(skip)
 	}
-	units, total := en.buildUnits(size)
-	if total <= skip {
-		return nil, nil
-	}
-	if en.workers > 1 && total-skip >= minParallelTier {
-		workersUsed = en.workers
-		return en.runTierPar(size, units, total, skip)
-	}
-	return en.runTierSeq(size, units, skip)
+	return en.runTier(size, en.buildUnits(size), skip)
 }
 
 // runAtoms enumerates the size-1 tier: variables in declaration order,
-// then arity-0 function symbols in vocabulary order. The tier is tiny, so
-// it always runs sequentially.
+// then arity-0 function symbols in vocabulary order.
 func (en *enumerator) runAtoms(skip int64) (expr.Expr, error) {
 	idx := int64(0)
 	atom := func(e expr.Expr) (expr.Expr, error) {
@@ -529,7 +477,6 @@ func (en *enumerator) runAtoms(skip int64) (expr.Expr, error) {
 		if idx <= skip {
 			return nil, nil
 		}
-		en.candIdx = idx
 		return en.consider(e)
 	}
 	for _, v := range en.p.Vars {
@@ -552,15 +499,99 @@ func (en *enumerator) runAtoms(skip int64) (expr.Expr, error) {
 	return nil, nil
 }
 
-// runTierSeq processes a tier's units in canonical order through the
-// sequential charge/prune/retain path (also the NoPrune path).
-func (en *enumerator) runTierSeq(size int, units []tierUnit, skip int64) (expr.Expr, error) {
+// tierUnit is one function symbol f applied to arguments drawn from pools
+// (one per parameter, fixed by a size split): a contiguous range of the
+// tier's canonical enumeration order. base is the tier-local 0-based index
+// of the unit's first candidate and count the unit total, so every
+// candidate's tier-local index — the bank's resume cursor — is computable
+// from its unit.
+type tierUnit struct {
+	f           *expr.Func
+	pools       [][]entry
+	base, count int64
+}
+
+// decode positions the odometer at the unit-local offset off: pools are
+// iterated outermost-first, each in retention order, exactly like a
+// nested loop. A resumed tier fast-forwards past its consumed prefix with
+// it.
+func (u *tierUnit) decode(off int64, pos []int) {
+	for j := len(u.pools) - 1; j >= 1; j-- {
+		n := int64(len(u.pools[j]))
+		pos[j] = int(off % n)
+		off /= n
+	}
+	pos[0] = int(off)
+}
+
+// advance steps the odometer to the next candidate (caller guarantees one
+// exists).
+func (u *tierUnit) advance(pos []int) {
+	for j := len(u.pools) - 1; ; j-- {
+		pos[j]++
+		if j == 0 || pos[j] < len(u.pools[j]) {
+			return
+		}
+		pos[j] = 0
+	}
+}
+
+// buildUnits lays out one tier's units in canonical order: function
+// symbols in vocabulary order, then size splits (the argument sizes,
+// summing to size-1) in lexicographic order. Empty products contribute
+// nothing.
+func (en *enumerator) buildUnits(size int) []tierUnit {
+	var units []tierUnit
+	var base int64
+	for _, f := range en.p.Vocab.Funcs() {
+		m := f.Arity()
+		if m == 0 {
+			continue
+		}
+		budget := size - 1
+		if budget < m {
+			continue
+		}
+		if cap(en.shareBuf) < m {
+			en.shareBuf = make([]int, m)
+		}
+		shares := en.shareBuf[:m]
+		var rec func(i, remaining int)
+		rec = func(i, remaining int) {
+			if i == m-1 {
+				shares[i] = remaining
+				pools := make([][]entry, m)
+				count := int64(1)
+				for j := 0; j < m; j++ {
+					pools[j] = en.perSize[shares[j]][f.Params[j]]
+					count *= int64(len(pools[j]))
+				}
+				if count == 0 {
+					return
+				}
+				units = append(units, tierUnit{f: f, pools: pools, base: base, count: count})
+				base += count
+				return
+			}
+			for s := 1; s <= remaining-(m-1-i); s++ {
+				shares[i] = s
+				rec(i+1, remaining-s)
+			}
+		}
+		rec(0, budget)
+	}
+	return units
+}
+
+// runTier processes a tier's units in canonical order through the
+// charge/prune/retain path.
+func (en *enumerator) runTier(size int, units []tierUnit, skip int64) (expr.Expr, error) {
 	for ui := range units {
 		u := &units[ui]
 		if u.base+u.count <= skip {
 			continue
 		}
-		found, idx, err := en.seqUnit(u, skip)
+		found, idx, err := en.runUnit(u, skip)
 		if err != nil {
 			return nil, err
 		}
@@ -572,10 +603,10 @@ func (en *enumerator) runTierSeq(size int, units []tierUnit, skip int64) (expr.E
 	return nil, nil
 }
 
-// seqUnit enumerates one unit's candidates, fast-forwarding past the
+// runUnit enumerates one unit's candidates, fast-forwarding past the
 // resumed prefix by index arithmetic instead of iteration.
-func (en *enumerator) seqUnit(u *tierUnit, skip int64) (expr.Expr, int64, error) {
-	m := len(u.shares)
+func (en *enumerator) runUnit(u *tierUnit, skip int64) (expr.Expr, int64, error) {
+	m := len(u.pools)
 	if cap(en.argsBuf) < m {
 		en.argsBuf = make([]entry, m)
 	}
@@ -592,7 +623,6 @@ func (en *enumerator) seqUnit(u *tierUnit, skip int64) (expr.Expr, int64, error)
 		for j := 0; j < m; j++ {
 			args[j] = u.pools[j][pos[j]]
 		}
-		en.candIdx = u.base + off + 1
 		found, err := en.considerApply(u.f, args)
 		if err != nil {
 			return nil, 0, err
@@ -646,12 +676,10 @@ func (en *enumerator) considerApply(f *expr.Func, args []entry) (expr.Expr, erro
 					en.stats.InterpPruned++
 				} else if len(en.shadows) < maxShadows {
 					childExprs := make([]expr.Expr, len(args))
-					size := 1
 					for j, a := range args {
 						childExprs[j] = a.e
-						size += a.e.Size()
 					}
-					en.addShadow(expr.NewApply(f, childExprs...), size)
+					en.addShadow(expr.NewApply(f, childExprs...))
 				}
 			}
 			return nil, nil
@@ -720,12 +748,12 @@ func psigsContain(rows, ps []expr.Value) bool {
 // caller has checked coverage and the cap. Like retained keys, the stored
 // key carries extension headroom: adoptShadows appends one record per new
 // concretization each round.
-func (en *enumerator) addShadow(e expr.Expr, size int) {
+func (en *enumerator) addShadow(e expr.Expr) {
 	key := make([]byte, len(en.keyBuf), len(en.keyBuf)+sigValEncLen*sigHeadroom)
 	copy(key, en.keyBuf)
 	psig := append([]expr.Value(nil), en.probeBuf...)
 	en.sigSeen[string(key)] = append(en.sigSeen[string(key)], psig...)
-	en.shadows = append(en.shadows, shadowEntry{e: e, key: key, psig: psig, size: size, idx: en.candIdx})
+	en.shadows = append(en.shadows, shadowEntry{e: e, key: key, psig: psig})
 }
 
 // consider handles size-1 candidates, which must be evaluated directly.
@@ -748,7 +776,7 @@ func (en *enumerator) consider(e expr.Expr) (expr.Expr, error) {
 				if psigsContain(rows, en.probeBuf) {
 					en.stats.InterpPruned++
 				} else if len(en.shadows) < maxShadows {
-					en.addShadow(e, e.Size())
+					en.addShadow(e)
 				}
 			}
 			return nil, nil
@@ -841,8 +869,8 @@ const sigHeadroom = 4
 // appendSigKey appends the map key for a signature: the expression type
 // tag followed by the fixed-width encodings of the probe and example
 // values. The encoding is injective over (type, value-vector) pairs — see
-// FuzzSigKeyInjective — which the parallel merge relies on: a silent
-// collision would fuse two distinguishable candidate classes.
+// FuzzSigKeyInjective — which pruning relies on: a silent collision would
+// fuse two distinguishable candidate classes.
 func appendSigKey(dst []byte, t expr.Type, sig []expr.Value) []byte {
 	dst = append(dst, byte(t.Kind))
 	if t.Kind == expr.KindEnum {

@@ -3,24 +3,10 @@ package synth
 import (
 	"context"
 	"errors"
-	"runtime"
 	"testing"
 
 	"transit/internal/expr"
 )
-
-// unclampWorkers raises GOMAXPROCS to cover the worker counts a parity
-// test requests. enumWorkers clamps to GOMAXPROCS (spare workers only
-// timeshare), so without this the multi-worker legs of the parity suite
-// would silently degenerate to sequential runs on single-CPU machines
-// and stop exercising the parallel merge.
-func unclampWorkers(t *testing.T, n int) {
-	t.Helper()
-	if old := runtime.GOMAXPROCS(0); old < n {
-		runtime.GOMAXPROCS(n)
-		t.Cleanup(func() { runtime.GOMAXPROCS(old) })
-	}
-}
 
 // maxConcrete returns a concrete-example workload consistent with
 // ite(gt(a, b), a, b) over the parity universe.
@@ -40,114 +26,6 @@ func maxConcrete(t testing.TB) (Problem, []ConcreteExample) {
 		}
 	}
 	return p, []ConcreteExample{mk(1, 2, 2), mk(3, 1, 3), mk(2, 2, 2), mk(0, 3, 3)}
-}
-
-func sameConcreteStats(t *testing.T, label string, a, b ConcreteStats) {
-	t.Helper()
-	if a.Enumerated != b.Enumerated || a.Kept != b.Kept || a.MaxSizeSeen != b.MaxSizeSeen {
-		t.Fatalf("%s: stats diverge: enumerated %d vs %d, kept %d vs %d, max size %d vs %d",
-			label, a.Enumerated, b.Enumerated, a.Kept, b.Kept, a.MaxSizeSeen, b.MaxSizeSeen)
-	}
-}
-
-// TestEnumWorkerParity mirrors the engine's TestWorkerCountParity for the
-// tier-parallel enumerator: any EnumWorkers count must return the same
-// expression and the same ConcreteStats as the sequential search — on a
-// winning search, an exhausted one, and a budget-cut one — and the whole
-// CEGIS loop must produce byte-identical traces.
-func TestEnumWorkerParity(t *testing.T) {
-	ctx := context.Background()
-	unclampWorkers(t, 4)
-	p, exs := maxConcrete(t)
-
-	t.Run("concrete-found", func(t *testing.T) {
-		base, bStats, err := SolveConcreteCtx(ctx, p, exs, Limits{MaxSize: 8, EnumWorkers: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, w := range []int{2, 4} {
-			got, gStats, err := SolveConcreteCtx(ctx, p, exs, Limits{MaxSize: 8, EnumWorkers: w})
-			if err != nil {
-				t.Fatalf("workers=%d: %v", w, err)
-			}
-			if got.String() != base.String() {
-				t.Fatalf("workers=%d found %s, sequential found %s", w, got, base)
-			}
-			sameConcreteStats(t, "found", bStats, gStats)
-		}
-	})
-
-	t.Run("concrete-exhausted", func(t *testing.T) {
-		// The smallest consistent expression has size 6; a size bound of 4
-		// walks every tier and fails identically at any worker count.
-		_, bStats, bErr := SolveConcreteCtx(ctx, p, exs, Limits{MaxSize: 4, EnumWorkers: 1})
-		if !errors.Is(bErr, ErrNoExpression) {
-			t.Fatalf("sequential: err = %v, want ErrNoExpression", bErr)
-		}
-		for _, w := range []int{2, 4} {
-			_, gStats, gErr := SolveConcreteCtx(ctx, p, exs, Limits{MaxSize: 4, EnumWorkers: w})
-			if !errors.Is(gErr, ErrNoExpression) {
-				t.Fatalf("workers=%d: err = %v, want ErrNoExpression", w, gErr)
-			}
-			sameConcreteStats(t, "exhausted", bStats, gStats)
-		}
-	})
-
-	t.Run("concrete-budget", func(t *testing.T) {
-		_, full, err := SolveConcreteCtx(ctx, p, exs, Limits{MaxSize: 8, EnumWorkers: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		budget := full.Enumerated / 2
-		_, bStats, bErr := SolveConcreteCtx(ctx, p, exs,
-			Limits{MaxSize: 8, MaxExprs: budget, EnumWorkers: 1})
-		if !errors.Is(bErr, ErrNoExpression) {
-			t.Fatalf("sequential: err = %v, want budget ErrNoExpression", bErr)
-		}
-		if bStats.Enumerated != budget {
-			t.Fatalf("sequential charged %d, budget %d", bStats.Enumerated, budget)
-		}
-		for _, w := range []int{2, 4} {
-			_, gStats, gErr := SolveConcreteCtx(ctx, p, exs,
-				Limits{MaxSize: 8, MaxExprs: budget, EnumWorkers: w})
-			if !errors.Is(gErr, ErrNoExpression) {
-				t.Fatalf("workers=%d: err = %v, want budget ErrNoExpression", w, gErr)
-			}
-			sameConcreteStats(t, "budget", bStats, gStats)
-		}
-	})
-
-	t.Run("cegis", func(t *testing.T) {
-		for _, tc := range parityProblems(t) {
-			t.Run(tc.name, func(t *testing.T) {
-				seq := tc.limits
-				seq.EnumWorkers = 1
-				baseExpr, baseStats, err := SolveConcolicCtx(ctx, tc.p, tc.examples, seq)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for _, w := range []int{2, 4} {
-					par := tc.limits
-					par.EnumWorkers = w
-					gotExpr, gotStats, err := SolveConcolicCtx(ctx, tc.p, tc.examples, par)
-					if err != nil {
-						t.Fatalf("workers=%d: %v", w, err)
-					}
-					if gotExpr.String() != baseExpr.String() {
-						t.Fatalf("workers=%d found %s, sequential found %s", w, gotExpr, baseExpr)
-					}
-					sameConcreteStats(t, "cegis", baseStats.Concrete, gotStats.Concrete)
-					if gotStats.Iterations != baseStats.Iterations ||
-						gotStats.SMTQueries != baseStats.SMTQueries {
-						t.Fatalf("workers=%d: %d iters/%d queries, sequential %d/%d", w,
-							gotStats.Iterations, gotStats.SMTQueries,
-							baseStats.Iterations, baseStats.SMTQueries)
-					}
-					sameTrace(t, baseStats.Trace, gotStats.Trace)
-				}
-			})
-		}
-	})
 }
 
 // sameTrace asserts two CEGIS traces are byte-identical: candidates,
@@ -236,58 +114,27 @@ func TestBankReuseParity(t *testing.T) {
 	}
 }
 
-// TestBankReuseWorkerParity crosses both tentpole axes: 4 tier workers
-// with bank reuse against the fully sequential restart path.
-func TestBankReuseWorkerParity(t *testing.T) {
-	ctx := context.Background()
-	unclampWorkers(t, 4)
-	for _, tc := range parityProblems(t) {
-		t.Run(tc.name, func(t *testing.T) {
-			fast := tc.limits
-			fast.EnumWorkers = 4
-			slow := tc.limits
-			slow.EnumWorkers = 1
-			slow.NoBankReuse = true
-			fastExpr, fastStats, err := SolveConcolicCtx(ctx, tc.p, tc.examples, fast)
-			if err != nil {
-				t.Fatal(err)
-			}
-			slowExpr, slowStats, err := SolveConcolicCtx(ctx, tc.p, tc.examples, slow)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if fastExpr.String() != slowExpr.String() {
-				t.Fatalf("result parity: fast=%s slow=%s", fastExpr, slowExpr)
-			}
-			sameTrace(t, slowStats.Trace, fastStats.Trace)
-		})
-	}
-}
-
 // TestMaxExprsExactBudget is the regression test for the charge()
 // off-by-one: a budget of exactly the winning candidate's index must
 // still succeed, and a budget one short must fail.
 func TestMaxExprsExactBudget(t *testing.T) {
 	ctx := context.Background()
-	unclampWorkers(t, 4)
 	p, exs := maxConcrete(t)
 	want, full, err := SolveConcreteCtx(ctx, p, exs, Limits{MaxSize: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, w := range []int{1, 4} {
-		got, stats, err := SolveConcreteCtx(ctx, p, exs,
-			Limits{MaxSize: 8, MaxExprs: full.Enumerated, EnumWorkers: w})
-		if err != nil {
-			t.Fatalf("workers=%d, budget %d (the winner's index): %v", w, full.Enumerated, err)
-		}
-		if got.String() != want.String() || stats.Enumerated != full.Enumerated {
-			t.Fatalf("workers=%d: got %s after %d, want %s after %d",
-				w, got, stats.Enumerated, want, full.Enumerated)
-		}
-		if _, _, err := SolveConcreteCtx(ctx, p, exs,
-			Limits{MaxSize: 8, MaxExprs: full.Enumerated - 1, EnumWorkers: w}); !errors.Is(err, ErrNoExpression) {
-			t.Fatalf("workers=%d, budget one short: err = %v, want ErrNoExpression", w, err)
-		}
+	got, stats, err := SolveConcreteCtx(ctx, p, exs,
+		Limits{MaxSize: 8, MaxExprs: full.Enumerated})
+	if err != nil {
+		t.Fatalf("budget %d (the winner's index): %v", full.Enumerated, err)
+	}
+	if got.String() != want.String() || stats.Enumerated != full.Enumerated {
+		t.Fatalf("got %s after %d, want %s after %d",
+			got, stats.Enumerated, want, full.Enumerated)
+	}
+	if _, _, err := SolveConcreteCtx(ctx, p, exs,
+		Limits{MaxSize: 8, MaxExprs: full.Enumerated - 1}); !errors.Is(err, ErrNoExpression) {
+		t.Fatalf("budget one short: err = %v, want ErrNoExpression", err)
 	}
 }

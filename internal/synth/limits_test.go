@@ -25,8 +25,7 @@ func maxProblem() (Problem, []ConcolicExample) {
 
 func TestWithDefaultsResolvesZeroFields(t *testing.T) {
 	got := Limits{}.WithDefaults()
-	want := Limits{MaxSize: DefaultMaxSize, MaxExprs: DefaultMaxExprs, MaxIters: DefaultMaxIters,
-		EnumWorkers: 1}
+	want := Limits{MaxSize: DefaultMaxSize, MaxExprs: DefaultMaxExprs, MaxIters: DefaultMaxIters}
 	if got != want {
 		t.Errorf("Limits{}.WithDefaults() = %+v, want %+v", got, want)
 	}
@@ -42,7 +41,7 @@ func TestWithDefaultsIdempotent(t *testing.T) {
 func TestWithDefaultsPreservesExplicitFields(t *testing.T) {
 	in := Limits{MaxSize: 7, MaxExprs: 123, MaxIters: 3,
 		Timeout: time.Second, SMTConflicts: 9, NoPrune: true,
-		EnumWorkers: 2, NoBankReuse: true}
+		NoBankReuse: true}
 	if got := in.WithDefaults(); got != in {
 		t.Errorf("WithDefaults clobbered explicit fields: %+v -> %+v", in, got)
 	}

@@ -89,14 +89,6 @@ type Limits struct {
 	// hatch and for differential testing, and is deliberately excluded
 	// from the engine's memoization key.
 	NoIncremental bool
-	// EnumWorkers sizes SolveConcrete's per-size-tier worker pool. Values
-	// <= 1 (and 0, which resolves to 1) run the enumeration sequentially.
-	// Any worker count returns the same expression and the same
-	// ConcreteStats as the sequential search — the parallel tiers merge
-	// through a deterministic minimum-index reduction (see DESIGN.md §10) —
-	// so the field is an execution detail and, like NoIncremental, is
-	// excluded from the engine's memoization key.
-	EnumWorkers int
 	// NoBankReuse makes SolveConcolic rebuild the expression bank from
 	// size 1 on every CEGIS round instead of extending the previous
 	// round's bank with the new concretization and resuming enumeration
@@ -116,18 +108,11 @@ type Limits struct {
 	// concretization arrives. The finer partition is answer-invariant —
 	// the first candidate matching the goal on the example coordinates is
 	// the same expression either way (DESIGN.md §15) — so the flag, like
-	// EnumWorkers and NoBankReuse, is an escape hatch and a
-	// differential-testing lever, excluded from the engine's memoization
-	// key. It also disables the unrealizability check, which needs the
-	// interpretation-indexed class structure.
+	// NoBankReuse, is an escape hatch and a differential-testing lever,
+	// excluded from the engine's memoization key. It also disables the
+	// unrealizability check, which needs the interpretation-indexed class
+	// structure.
 	NoInterpReduction bool
-	// Portfolio asks the engine to race this many solver configurations
-	// per job and keep the first finisher (values <= 1 disable racing).
-	// The synthesizer itself ignores the field: racing is an engine-level
-	// execution strategy layered on top of SolveConcolic, and — because
-	// every raced configuration is answer-identical on the pinned parity
-	// workloads — it is excluded from the engine's memoization key.
-	Portfolio int
 }
 
 // Default limits, applied by Limits.WithDefaults.
@@ -151,9 +136,6 @@ func (l Limits) WithDefaults() Limits {
 	}
 	if l.MaxIters == 0 {
 		l.MaxIters = DefaultMaxIters
-	}
-	if l.EnumWorkers == 0 {
-		l.EnumWorkers = 1
 	}
 	return l
 }
@@ -201,8 +183,8 @@ type ConcreteStats struct {
 	// expressions whose full signature — probe coordinates plus example
 	// coordinates — was already covered by a retained representative or a
 	// stored shadow. 0 when interpretation reduction is off. The count is
-	// exact for sequential tiers and approximate under tier parallelism
-	// (workers may scan slightly past the tier's final stop index).
+	// exact: the search is sequential, so it covers precisely the
+	// candidates examined up to the winner or the budget.
 	InterpPruned int64
 	Elapsed      time.Duration
 }
@@ -212,10 +194,9 @@ type ConcreteStats struct {
 // record carries the causal fields the provenance ledger needs: which
 // concolic example killed the candidate, whether the round resumed the
 // previous bank or restarted, and the round's enumeration counters. All
-// of them are deterministic across worker counts (InterpPruned, which is
-// approximate under tier parallelism, is deliberately absent), so the
-// trace — and any ledger derived from it — stays byte-identical across
-// `-workers` settings and memo-cache replays.
+// of them are deterministic, so the trace — and any ledger derived from
+// it — stays byte-identical across `-workers` settings and memo-cache
+// replays.
 type IterRecord struct {
 	// Candidate is the expression proposed by SolveConcrete.
 	Candidate expr.Expr

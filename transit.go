@@ -274,15 +274,6 @@ type SynthesisOptions struct {
 	// the sequential order (byte-identical output to the historical
 	// implementation; larger pools infer identical expressions faster).
 	Workers int
-	// EnumWorkers sizes the tier-parallel enumeration fan-out inside each
-	// inference job; <= 1 runs tiers sequentially. Like Workers it never
-	// changes the inferred expressions, only wall-clock time.
-	EnumWorkers int
-	// Portfolio races this many solver configurations per cache-miss
-	// inference call, keeping the first to finish; <= 1 disables racing.
-	// The raced configurations differ only in execution strategy
-	// (interpretation reduction, bank reuse, tier-worker count).
-	Portfolio int
 	// Timeout bounds the whole synthesis run; 0 means none.
 	Timeout time.Duration
 	// Telemetry, when non-nil, receives the engine's structured events.
@@ -310,8 +301,6 @@ func SynthesizeCtx(ctx context.Context, proto *Protocol, opts SynthesisOptions) 
 		Limits:         opts.Limits,
 		SkipGuardCheck: opts.SkipGuardCheck,
 		Workers:        opts.Workers,
-		EnumWorkers:    opts.EnumWorkers,
-		Portfolio:      opts.Portfolio,
 		Timeout:        opts.Timeout,
 		Telemetry:      opts.Telemetry,
 		Cache:          opts.Cache,
